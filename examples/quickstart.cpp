@@ -7,7 +7,7 @@
 //   2. color + partition it and cut it into a distributed graph,
 //   3. run the Alg. 1 PageRank update function on the chosen engine,
 //   4. run the same math as a GAS program (with the gather delta cache)
-//      and check both converge to the same ranks,
+//      and check both converge to the same ranks (exit 1 if not),
 //   5. gather and print the top pages.
 //
 // Usage: ./quickstart [--vertices=20000] [--machines=4] [--engine=chromatic]
@@ -125,10 +125,12 @@ int main(int argc, char** argv) {
   };
 
   // 3. Classic API: install the handwritten f(v, S_v) of Alg. 1.
+  constexpr double kDamping = 0.85;
+  constexpr double kTolerance = 1e-4;
   run_cluster("classic update fn", classic_parts, eo,
               [](Graph*, IEngine<Graph>* engine, rpc::MachineContext&) {
                 engine->SetUpdateFn(
-                    apps::MakePageRankUpdateFn<Graph>(0.85, 1e-4));
+                    apps::MakePageRankUpdateFn<Graph>(kDamping, kTolerance));
               });
   if (failed.load()) return 1;
 
@@ -148,8 +150,8 @@ int main(int argc, char** argv) {
               [&](Graph* graph, IEngine<Graph>* engine,
                   rpc::MachineContext& ctx) {
                 apps::PageRankProgram<Graph> program;
-                program.damping = 0.85;
-                program.tolerance = 1e-4;
+                program.damping = kDamping;
+                program.tolerance = kTolerance;
                 auto compiled =
                     CompileVertexProgram(graph, gas_eo, program);
                 engine->SetUpdateFn(compiled.update_fn());
@@ -171,14 +173,31 @@ int main(int argc, char** argv) {
       100.0 * cluster_stats.cache_hit_rate(),
       static_cast<unsigned long long>(cluster_stats.cache.deltas_applied));
 
+  // Dynamic PageRank leaves each vertex within a relative error of about
+  // 10 * tol * d / (1 - d) of the fixed point (residuals below the
+  // tolerance, amplified by the damping series, with fan-in slack).  Two
+  // runs at the same fixed point therefore differ by at most twice that,
+  // relative to each rank, which sums to the L1 bound below.
+  const double rel_bound = 10.0 * kTolerance * kDamping / (1.0 - kDamping);
   double l1 = 0.0;
+  double rank_sum = 0.0;
   for (Graph& graph : gas_parts) {
     for (LocalVid l : graph.owned_vertices()) {
       l1 += std::fabs(classic_rank[graph.Gvid(l)] -
                       graph.vertex_data(l).rank);
+      rank_sum += classic_rank[graph.Gvid(l)];
     }
   }
-  std::printf("classic vs GAS L1 distance: %.2e (same fixed point)\n", l1);
+  const double l1_bound = 2.0 * rel_bound * rank_sum;
+  if (!(l1 <= l1_bound)) {
+    std::printf("classic vs GAS L1 distance: %.2e exceeds the bound %.2e "
+                "(different fixed points)\n",
+                l1, l1_bound);
+    return 1;
+  }
+  std::printf("classic vs GAS L1 distance: %.2e (within bound %.2e: same "
+              "fixed point)\n",
+              l1, l1_bound);
 
   // 5. Gather ranks from owners and print the top 10 pages.
   std::vector<std::pair<double, VertexId>> ranked;

@@ -16,6 +16,18 @@
 // on the substrate's self-scheduling batch workers; the engine itself owns
 // no threads.
 //
+// Signals to ghosts cost one bit.  Schedule() of a ghost sets its bit in
+// a per-engine bitset; repeated signals merge into that bit
+// (sched.signals_coalesced).  The color-step is the signal window: when
+// it ends, before the ghost delta flush and the communication barrier,
+// the engine ships one forward frame per owner machine
+// (engine/signal_frame.h).  Start() ships one more on entry for schedules
+// made before the run.  The frames land before the barrier's quiescence,
+// so the next color-step and the sweep-end pending count see them, just
+// as they would have seen one message per signal: a ghost neighbour of a
+// color-c vertex has a different color, so it could not have run in
+// color-step c anyway.
+//
 // One engine instance lives on each machine; Start() is collective.
 
 #ifndef GRAPHLAB_ENGINE_CHROMATIC_ENGINE_H_
@@ -31,6 +43,7 @@
 #include "graphlab/engine/execution_substrate.h"
 #include "graphlab/engine/handler_ids.h"
 #include "graphlab/engine/iengine.h"
+#include "graphlab/engine/signal_frame.h"
 #include "graphlab/engine/sync.h"
 #include "graphlab/graph/distributed_graph.h"
 #include "graphlab/metrics/trace_event.h"
@@ -59,31 +72,30 @@ class ChromaticEngine final
         graph_(graph),
         sync_(sync),
         allreduce_(allreduce),
-        scheduled_(graph->num_local_vertices()) {
+        scheduled_(graph->num_local_vertices()),
+        ghost_signals_(graph->num_local_vertices()),
+        signals_coalesced_(this->metrics_->counter("sched.signals_coalesced")),
+        signal_frames_(this->metrics_->counter("sched.signal_frames")) {
     ctx_.comm().RegisterHandler(
         ctx_.id, kScheduleForwardHandler,
         [this](rpc::MachineId, InArchive& ia) {
-          while (!ia.AtEnd()) {
-            VertexId gvid = ia.ReadValue<VertexId>();
-            ia.ReadValue<double>();  // priority unused by this engine
-            LocalVid l = graph_->Lvid(gvid);
+          DecodeSignalFrame(*graph_, ia, [this](LocalVid l, double,
+                                                SignalKind) {
             if (scheduled_.SetBit(l)) pending_.fetch_add(1);
-          }
+          });
         });
   }
 
   const char* name() const override { return "chromatic"; }
 
-  /// Seeds T with one vertex (owned or ghost; ghosts are forwarded).
-  void Schedule(LocalVid l, double priority = 1.0) override {
+  /// Seeds T with one vertex (owned or ghost; ghosts are forwarded at
+  /// the end of the color-step, or on Start() entry).
+  void Schedule(LocalVid l, double /*priority*/ = 1.0) override {
     if (this->substrate_.aborted()) return;
     if (graph_->is_owned(l)) {
       if (scheduled_.SetBit(l)) pending_.fetch_add(1);
-    } else {
-      OutArchive oa;
-      oa << graph_->Gvid(l) << priority;
-      ctx_.comm().Send(ctx_.id, graph_->owner(l), kScheduleForwardHandler,
-                       std::move(oa));
+    } else if (!ghost_signals_.SetBit(l)) {
+      signals_coalesced_->Inc();
     }
   }
 
@@ -120,6 +132,9 @@ class ChromaticEngine final
                                  : GhostSyncMode::kPerScope,
                              this->options_.ghost_batch_bytes);
 
+    // Schedules made before the run; they land by the first color-step's
+    // quiescence at the latest.
+    FlushGhostSignals();
     // Align all machines before starting.
     ctx_.barrier().Wait(ctx_.id);
 
@@ -134,8 +149,9 @@ class ChromaticEngine final
         GL_TRACE_SCOPE1(trace::kEngine, "chromatic.color_step", "color",
                         color);
         RunColorStep(color);
-        // Close the coalescing window: ship one framed delta batch per
-        // peer with anything staged.
+        // Close the signal and coalescing windows: one forward frame and
+        // one framed delta batch per peer with anything staged.
+        FlushGhostSignals();
         graph_->FlushDeltas();
         // Full communication barrier between color-steps: everyone done
         // sending, channels flushed, everyone observed the flush.
@@ -243,6 +259,18 @@ class ChromaticEngine final
     this->substrate_.AddBusyNanos(Timer::ThreadCpuNanos() - cpu0);
   }
 
+  /// Ships the staged ghost signals: one frame per owner machine.
+  void FlushGhostSignals() {
+    SignalFrames frames;
+    const size_t n = ghost_signals_.size();
+    for (size_t l = ghost_signals_.FindFirstFrom(0); l < n;
+         l = ghost_signals_.FindFirstFrom(l + 1)) {
+      ghost_signals_.ClearBit(l);
+      frames.Add(*graph_, l, 1.0, SignalKind::kUser);
+    }
+    frames.Send(ctx_.comm(), ctx_.id, signal_frames_);
+  }
+
   uint64_t CollectTotalUpdates(uint64_t local) {
     std::vector<uint64_t> totals = allreduce_->Reduce(ctx_.id, {local});
     return totals[0];
@@ -254,6 +282,9 @@ class ChromaticEngine final
   SumAllReduce* allreduce_;
 
   DenseBitset scheduled_;
+  DenseBitset ghost_signals_;  // ghosts signalled in the current window
+  metrics::Counter* signals_coalesced_;
+  metrics::Counter* signal_frames_;
   std::atomic<uint64_t> pending_{0};
   uint64_t local_updates_ = 0;
   uint64_t steps_since_sync_ = 0;

@@ -12,8 +12,30 @@
 // distributed counting consensus (rpc/termination.h) polled by the
 // coordinator hook running on the substrate's calling thread.  Sync
 // operations run continuously in the background.  Snapshots (sync or
-// async Chandy-Lamport) are triggered by the coordinator mid-run
+// async Chandy-Lamport) are triggered mid-run by the first machine whose
+// own updates estimate the cluster has done snapshot_trigger_updates
 // (Sec. 4.3).
+//
+// Signals cost a bit, not a scope or a message:
+//  * One scope request in flight per vertex, and only for a vertex with
+//    work.  TryFillPipeline sets v's in_flight_ bit when it pops v and
+//    requests v's scope.  It drops a pop (sched.signals_coalesced) that
+//    finds v's pending bits clear or its in_flight_ bit already set.
+//    No signal is lost, because a signal sets v's pending bit *before*
+//    it pushes v into the scheduler.  So a pop that finds the pending
+//    bits clear either follows a task that consumed them, and that task
+//    ran the signal, or precedes the pending set, and the signal's own
+//    push brings v back.  A pop dropped for in_flight_ follows the
+//    pending set.  The task holding the bit clears in_flight_ *before*
+//    it clears the pending bits, and that clear follows the dropped pop,
+//    so the task still finds the pending bit set and runs the update
+//    after the signal.  Without the rule a re-signalled vertex queued a
+//    second scope that ran nothing once granted (locking.empty_scopes)
+//    while its partial locks blocked other chains.
+//  * Ghost signals made inside a task are staged, one frame per owner,
+//    and shipped at the task commit, before the ghost push and the lock
+//    release.  Schedules made outside a task are sent at once.
+//    tasks_sent_ / tasks_received_ count entries, not frames.
 //
 // One engine per machine; Start() is collective and single-use:
 // construct a fresh engine per run.
@@ -33,6 +55,7 @@
 #include "graphlab/engine/handler_ids.h"
 #include "graphlab/engine/iengine.h"
 #include "graphlab/engine/locking/lock_manager.h"
+#include "graphlab/engine/signal_frame.h"
 #include "graphlab/engine/snapshot.h"
 #include "graphlab/engine/sync.h"
 #include "graphlab/graph/distributed_graph.h"
@@ -68,7 +91,11 @@ class LockingEngine final
         scheduler_(
             this->MakeScheduler(graph->num_local_vertices(), "priority")),
         user_pending_(graph->num_local_vertices()),
-        snapshot_pending_(graph->num_local_vertices()) {
+        snapshot_pending_(graph->num_local_vertices()),
+        in_flight_(graph->num_local_vertices()),
+        signals_coalesced_(this->metrics_->counter("sched.signals_coalesced")),
+        signal_frames_(this->metrics_->counter("sched.signal_frames")),
+        empty_scopes_(this->metrics_->counter("locking.empty_scopes")) {
     if (this->options_.max_pipeline_length == 0) {
       this->options_.max_pipeline_length = 1;
     }
@@ -84,40 +111,54 @@ class LockingEngine final
     ctx_.comm().RegisterHandler(
         ctx_.id, kScheduleForwardHandler,
         [this](rpc::MachineId, InArchive& ia) {
-          while (!ia.AtEnd()) {
-            VertexId gvid = ia.ReadValue<VertexId>();
-            double priority = ia.ReadValue<double>();
-            uint8_t snap = ia.ReadValue<uint8_t>();
-            tasks_received_.fetch_add(1, std::memory_order_acq_rel);
-            LocalVid l = graph_->Lvid(gvid);
-            if (snap != 0) {
-              ScheduleSnapshotLocal(l);
-            } else {
-              ScheduleUserLocal(l, priority);
-            }
-          }
+          // Deliver every entry before counting the frame received, so
+          // the termination consensus never sees the tasks balance while
+          // their vertices are not yet scheduled.
+          const uint64_t decoded = DecodeSignalFrame(
+              *graph_, ia, [this](LocalVid l, double priority,
+                                  SignalKind kind) {
+                if (kind == SignalKind::kSnapshot) {
+                  ScheduleSnapshotLocal(l);
+                } else {
+                  ScheduleUserLocal(l, priority);
+                }
+              });
+          tasks_received_.fetch_add(decoded, std::memory_order_acq_rel);
         });
     ctx_.comm().RegisterHandler(
         ctx_.id, kSnapshotTriggerHandler,
         [this](rpc::MachineId, InArchive& ia) {
-          uint8_t mode = ia.ReadValue<uint8_t>();
-          if (mode == 1) {
-            sync_snapshot_requested_.store(true, std::memory_order_release);
-          } else {
-            async_snapshot_requested_.store(true, std::memory_order_release);
+          const uint8_t mode = ia.ReadValue<uint8_t>();
+          // Every machine that reaches its share of the update budget
+          // broadcasts a trigger; the first one to land fires.  Triggers
+          // count as tasks, and the machine is busy from here until the
+          // snapshot is seeded (async) or taken (sync), so the run cannot
+          // terminate around a trigger.
+          if (!snapshot_fired_.exchange(true, std::memory_order_acq_rel)) {
+            if (mode == 1) {
+              sync_snapshot_requested_.store(true, std::memory_order_release);
+            } else if (!graph_->owned_vertices().empty()) {
+              // Seed the Chandy-Lamport markers: one initiator per machine
+              // so disconnected partitions are covered too.
+              ScheduleSnapshotLocal(graph_->owned_vertices().front());
+            }
           }
+          tasks_received_.fetch_add(1, std::memory_order_acq_rel);
         });
   }
 
   const char* name() const override { return "locking"; }
 
-  /// Schedules a local-or-ghost vertex; ghosts are forwarded.
+  /// Schedules a local-or-ghost vertex; ghosts are forwarded at once
+  /// (signals from inside a task go through the task's staged frames).
   void Schedule(LocalVid l, double priority = 1.0) override {
     if (this->substrate_.aborted()) return;
     if (graph_->is_owned(l)) {
       ScheduleUserLocal(l, priority);
     } else {
-      ForwardSchedule(l, priority, /*snapshot=*/false);
+      SignalFrames frames;
+      frames.Add(*graph_, l, priority, SignalKind::kUser);
+      SendSignals(&frames);
     }
   }
 
@@ -205,16 +246,11 @@ class LockingEngine final
     this->substrate_.RunWorkers(
         this->options_.num_threads, /*max_updates=*/0, hooks, [this, &timer] {
           CoordinatorLoop(timer);
-          // Drain a snapshot trigger that raced with the termination
-          // verdict so no machine is left alone at the snapshot barrier.
-          if (sync_snapshot_requested_.exchange(false,
-                                                std::memory_order_acq_rel)) {
-            PerformSyncSnapshot();
-          }
           ready_.Shutdown();  // unblock the workers' timed pops
         });
 
-    if (snapshot_ != nullptr && snapshot_fired_ &&
+    if (snapshot_ != nullptr &&
+        snapshot_fired_.load(std::memory_order_acquire) &&
         this->options_.snapshot_mode == SnapshotMode::kAsynchronous) {
       GL_CHECK_OK(snapshot_->FinishAsync());
     }
@@ -249,15 +285,35 @@ class LockingEngine final
     double priority;
   };
 
+  /// The signal window of one task: its Context::Schedule calls land
+  /// here, and ghost signals wait in `frames` until the task commits.
+  struct TaskSignals {
+    LockingEngine* engine;
+    SignalFrames frames;
+  };
+
   // ------------------------------------------------------------------
   // Scheduling
   // ------------------------------------------------------------------
-  static void ScheduleSnapshot(void* self, LocalVid v, double priority) {
-    auto* e = static_cast<LockingEngine*>(self);
+  static void ScheduleFromTask(void* self, LocalVid v, double priority) {
+    auto* task = static_cast<TaskSignals*>(self);
+    LockingEngine* e = task->engine;
+    if (e->substrate_.aborted()) return;
+    if (e->graph_->is_owned(v)) {
+      e->ScheduleUserLocal(v, priority);
+    } else {
+      task->frames.Add(*e->graph_, v, priority, SignalKind::kUser);
+    }
+  }
+
+  static void ScheduleSnapshotFromTask(void* self, LocalVid v,
+                                       double priority) {
+    auto* task = static_cast<TaskSignals*>(self);
+    LockingEngine* e = task->engine;
     if (e->graph_->is_owned(v)) {
       e->ScheduleSnapshotLocal(v);
     } else {
-      e->ForwardSchedule(v, priority, /*snapshot=*/true);
+      task->frames.Add(*e->graph_, v, priority, SignalKind::kSnapshot);
     }
   }
 
@@ -272,13 +328,12 @@ class LockingEngine final
     scheduler_->Schedule(l, kSnapshotPriority);
   }
 
-  void ForwardSchedule(LocalVid ghost, double priority, bool snapshot) {
-    OutArchive oa;
-    oa << graph_->Gvid(ghost) << priority
-       << static_cast<uint8_t>(snapshot ? 1 : 0);
-    tasks_sent_.fetch_add(1, std::memory_order_acq_rel);
-    ctx_.comm().Send(ctx_.id, graph_->owner(ghost), kScheduleForwardHandler,
-                     std::move(oa));
+  /// Counts the staged entries sent *before* shipping them, so no
+  /// machine can observe them received before they are counted sent.
+  void SendSignals(SignalFrames* frames) {
+    if (frames->entries() == 0) return;
+    tasks_sent_.fetch_add(frames->entries(), std::memory_order_acq_rel);
+    frames->Send(ctx_.comm(), ctx_.id, signal_frames_);
   }
 
   /// Abort: stop feeding the pipeline and drop queued tasks; granted
@@ -304,6 +359,14 @@ class LockingEngine final
         in_pipeline_.fetch_sub(1, std::memory_order_acq_rel);
         return;
       }
+      if (!(user_pending_.Test(v) || snapshot_pending_.Test(v)) ||
+          !in_flight_.SetBit(v)) {
+        // A task already ran this signal, or v's in-flight task has not
+        // consumed its pending bits yet and will (see the header).
+        signals_coalesced_->Inc();
+        in_pipeline_.fetch_sub(1, std::memory_order_acq_rel);
+        continue;
+      }
       lock_manager_.RequestScope(v, [this, v, priority] {
         in_pipeline_.fetch_sub(1, std::memory_order_acq_rel);
         ready_.Push(Task{v, priority});
@@ -315,7 +378,8 @@ class LockingEngine final
     return scheduler_->Empty() &&
            in_pipeline_.load(std::memory_order_acquire) == 0 &&
            ready_.Size() == 0 && this->substrate_.active_workers() == 0 &&
-           !paused_.load(std::memory_order_acquire);
+           !paused_.load(std::memory_order_acquire) &&
+           !sync_snapshot_requested_.load(std::memory_order_acquire);
   }
 
   // ------------------------------------------------------------------
@@ -323,21 +387,29 @@ class LockingEngine final
   // ------------------------------------------------------------------
   void ExecuteTask(LocalVid v, double priority) {
     const uint64_t cpu0 = Timer::ThreadCpuNanos();
-    bool run_snapshot = snapshot_pending_.ClearBit(v);
-    bool run_user = user_pending_.ClearBit(v);
-    if (run_snapshot && snapshot_fn_) {
+    // Clear in_flight_ first: a signal whose pop was dropped while the
+    // bit was set must still find its pending bit set below.
+    in_flight_.ClearBit(v);
+    const bool run_snapshot = snapshot_pending_.ClearBit(v) && snapshot_fn_;
+    const bool run_user = user_pending_.ClearBit(v);
+    TaskSignals signals{this, {}};
+    if (run_snapshot) {
       ContextType sctx(graph_, v, kSnapshotPriority,
-                       this->options_.consistency, this, &ScheduleSnapshot);
+                       this->options_.consistency, &signals,
+                       &ScheduleSnapshotFromTask);
       snapshot_fn_(sctx);
     }
     if (run_user) {
       ContextType uctx(graph_, v, priority, this->options_.consistency,
-                       static_cast<Base*>(this), &Base::ScheduleTrampoline);
+                       &signals, &ScheduleFromTask);
       this->update_fn_(uctx);
       this->substrate_.CountUpdate();
     }
-    // Push ghost changes *before* releasing locks: the FIFO channels then
-    // guarantee every subsequent lock holder observes this write.
+    if (!run_snapshot && !run_user) empty_scopes_->Inc();
+    // Commit: ghost signals, then ghost changes, then the lock release.
+    // Pushing *before* releasing lets the FIFO channels guarantee every
+    // subsequent lock holder observes this write.
+    SendSignals(&signals.frames);
     graph_->FlushVertexScope(v);
     lock_manager_.ReleaseScope(v);
     this->substrate_.AddBusyNanos(Timer::ThreadCpuNanos() - cpu0);
@@ -369,26 +441,24 @@ class LockingEngine final
       }
 
       MaybeTriggerSnapshot();
-      if (sync_snapshot_requested_.exchange(false,
-                                            std::memory_order_acq_rel)) {
+      // Cleared only once the snapshot is taken: the flag keeps this
+      // machine busy for the termination consensus until then.
+      if (sync_snapshot_requested_.load(std::memory_order_acquire)) {
         PerformSyncSnapshot();
-      }
-      if (async_snapshot_requested_.exchange(false,
-                                             std::memory_order_acq_rel)) {
-        // Seed the Chandy-Lamport markers: one initiator per machine so
-        // disconnected partitions are covered too.
-        snapshot_fired_ = true;
-        if (!graph_->owned_vertices().empty()) {
-          ScheduleSnapshotLocal(graph_->owned_vertices().front());
-        }
+        sync_snapshot_requested_.store(false, std::memory_order_release);
       }
 
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
 
+  /// Broadcasts the snapshot trigger once this machine's updates, scaled
+  /// by the machine count, estimate that the cluster has done
+  /// snapshot_trigger_updates.  Any machine may get there first: the
+  /// busiest one then fires in short runs, where waiting for one fixed
+  /// machine could let the run end with no snapshot.
   void MaybeTriggerSnapshot() {
-    if (ctx_.id != 0 || snapshot_fired_ ||
+    if (trigger_sent_ || snapshot_fired_.load(std::memory_order_acquire) ||
         this->options_.snapshot_mode == SnapshotMode::kNone ||
         snapshot_ == nullptr) {
       return;
@@ -396,13 +466,14 @@ class LockingEngine final
     uint64_t estimate =
         this->substrate_.total_updates() * ctx_.num_machines();
     if (estimate < this->options_.snapshot_trigger_updates) return;
-    snapshot_fired_ = true;
+    trigger_sent_ = true;
     uint8_t mode =
         this->options_.snapshot_mode == SnapshotMode::kSynchronous ? 1 : 2;
+    tasks_sent_.fetch_add(ctx_.num_machines(), std::memory_order_acq_rel);
     for (rpc::MachineId dst = 0; dst < ctx_.num_machines(); ++dst) {
       OutArchive oa;
       oa << mode;
-      ctx_.comm().Send(0, dst, kSnapshotTriggerHandler, std::move(oa));
+      ctx_.comm().Send(ctx_.id, dst, kSnapshotTriggerHandler, std::move(oa));
     }
   }
 
@@ -410,7 +481,6 @@ class LockingEngine final
   /// wide, journal, resume (Sec. 4.3 synchronous strategy).
   void PerformSyncSnapshot() {
     GL_TRACE_SCOPE(trace::kSnapshot, "locking.sync_snapshot");
-    snapshot_fired_ = true;  // on non-coordinator machines
     paused_.store(true, std::memory_order_release);
     while (!(in_pipeline_.load(std::memory_order_acquire) == 0 &&
              ready_.Size() == 0 &&
@@ -435,6 +505,10 @@ class LockingEngine final
   std::unique_ptr<IScheduler> scheduler_;
   DenseBitset user_pending_;
   DenseBitset snapshot_pending_;
+  DenseBitset in_flight_;  // a scope request for v is in the pipeline
+  metrics::Counter* signals_coalesced_;
+  metrics::Counter* signal_frames_;
+  metrics::Counter* empty_scopes_;
   UpdateFn<GraphType> snapshot_fn_;
 
   BlockingQueue<Task> ready_;
@@ -443,8 +517,8 @@ class LockingEngine final
   std::atomic<uint64_t> tasks_received_{0};
   std::atomic<bool> paused_{false};
   std::atomic<bool> sync_snapshot_requested_{false};
-  std::atomic<bool> async_snapshot_requested_{false};
-  bool snapshot_fired_ = false;
+  std::atomic<bool> snapshot_fired_{false};  // a trigger landed here
+  bool trigger_sent_ = false;                // coordinator thread only
 
   std::vector<std::pair<double, uint64_t>> progress_;
 };

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,8 @@ LocalGraph<V, E> RunThroughFactory(
     const std::function<UpdateFn<DistributedGraph<V, E>>(
         DistributedGraph<V, E>*)>& make_dist_update,
     EngineOptions opts = {},
-    rpc::TransportKind kind = rpc::TransportKind::kInProcess) {
+    rpc::TransportKind kind = rpc::TransportKind::kInProcess,
+    uint64_t* updates = nullptr) {
   LocalGraph<V, E> global = global_in;
   if (IsLocalEngine(name)) {
     auto engine = std::move(CreateEngine(name, &global, opts).value());
@@ -89,6 +91,7 @@ LocalGraph<V, E> RunThroughFactory(
     engine->ScheduleAll();
     RunResult r = engine->Start();
     if (ctx.id == 0) EXPECT_GT(r.updates, 0u);
+    if (ctx.id == 0 && updates != nullptr) *updates = r.updates;
   });
   for (Graph& graph : graphs) {
     for (LocalVid l : graph.owned_vertices()) {
@@ -284,6 +287,60 @@ TEST_P(TransportEquivalenceTest, DeterministicEnginesBitIdenticalAcrossBackends)
 
 INSTANTIATE_TEST_SUITE_P(BarrierEngines, TransportEquivalenceTest,
                          ::testing::Values("chromatic", "bulk_sync"));
+
+// Coalesced ghost signals change when a signal travels, not what runs.
+// At one worker thread the chromatic engine is deterministic, so its
+// converged ranks and update count on this file's PageRank graphs are
+// pinned to the values it produced when every ghost signal was its own
+// message (recorded on x86-64, where the build contracts no FMA).
+class ChromaticSignalRecordTest
+    : public ::testing::TestWithParam<rpc::TransportKind> {};
+
+TEST_P(ChromaticSignalRecordTest, MatchesPerSignalMessageRecord) {
+  using V = apps::PageRankVertex;
+  using E = apps::PageRankEdge;
+  using DistGraph = DistributedGraph<V, E>;
+  struct Record {
+    uint64_t vertices, seed;
+    size_t machines;
+    uint64_t updates, rank_hash;
+  };
+  const Record records[] = {
+      {800, 55, 2, 34066, 13296996279312082262ull},
+      {400, 21, 3, 17432, 17908380926494548821ull},
+  };
+  EngineOptions opts;
+  opts.num_threads = 1;
+  for (const Record& rec : records) {
+    auto structure = gen::PowerLawWeb(rec.vertices, 5, 0.8, rec.seed);
+    uint64_t updates = 0;
+    auto converged = RunThroughFactory<V, E>(
+        "chromatic", apps::BuildPageRankGraph(structure), rec.machines,
+        [](apps::PageRankGraph*) {
+          return apps::MakePageRankUpdateFn<apps::PageRankGraph>(0.85, 1e-8);
+        },
+        [](DistGraph*) {
+          return apps::MakePageRankUpdateFn<DistGraph>(0.85, 1e-8);
+        },
+        opts, GetParam(), &updates);
+    // FNV-1a over the ranks' bit patterns, in vertex order.
+    uint64_t hash = 14695981039346656037ull;
+    for (VertexId v = 0; v < structure.num_vertices; ++v) {
+      uint64_t bits;
+      const double rank = converged.vertex_data(v).rank;
+      std::memcpy(&bits, &rank, sizeof(bits));
+      for (int b = 0; b < 64; b += 8) {
+        hash = (hash ^ ((bits >> b) & 0xff)) * 1099511628211ull;
+      }
+    }
+    EXPECT_EQ(updates, rec.updates) << rec.vertices << " vertices";
+    EXPECT_EQ(hash, rec.rank_hash) << rec.vertices << " vertices";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, ChromaticSignalRecordTest,
+                         ::testing::ValuesIn(testutil::kAllTransports),
+                         testutil::KindParamName);
 
 class LockingTransportTest
     : public ::testing::TestWithParam<rpc::TransportKind> {};

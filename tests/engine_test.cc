@@ -2,15 +2,24 @@
 // locking — all running PageRank to convergence and checked against the
 // exact power-iteration solution; plus scheduler unit tests, the
 // CreateEngine/CreateScheduler factories' error paths, consistency model
-// enforcement, and the sync operation.
+// enforcement, the sync operation, and the distributed engines' signal
+// windows over both transports.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "graphlab/apps/pagerank.h"
 #include "graphlab/engine/allreduce.h"
 #include "graphlab/engine/engine_factory.h"
+#include "graphlab/engine/handler_ids.h"
+#include "graphlab/engine/signal_frame.h"
 #include "graphlab/engine/shared_memory_engine.h"
 #include "graphlab/engine/sync.h"
 #include "graphlab/graph/coloring.h"
@@ -18,6 +27,7 @@
 #include "graphlab/graph/partition.h"
 #include "graphlab/rpc/runtime.h"
 #include "graphlab/scheduler/scheduler.h"
+#include "tests/transport_param.h"
 
 namespace graphlab {
 namespace {
@@ -426,6 +436,211 @@ TEST(LockingEngineTest, DeepPipelineStillCorrect) {
   }
   EXPECT_LT(err, 1e-2);
 }
+
+// ---------------------------------------------------------------------
+// Signal windows, over both transports: a ghost signal costs one bit in
+// the chromatic engine, and the locking engine keeps one scope request
+// in flight per vertex without losing a signal.
+// ---------------------------------------------------------------------
+
+/// Signal counters summed over the machines of one run.
+struct SignalCounters {
+  uint64_t coalesced = 0;     // sched.signals_coalesced
+  uint64_t frames = 0;        // sched.signal_frames
+  uint64_t empty_scopes = 0;  // locking.empty_scopes
+  uint64_t sweeps = 0;
+  uint64_t max_frames_per_machine = 0;
+};
+
+/// A star: hub 0 on machine 1, leaves 1..`leaves` on machine 0, one edge
+/// leaf -> hub each.  The hub is a ghost on machine 0.
+GraphStructure Star(uint64_t leaves) {
+  GraphStructure s;
+  s.num_vertices = leaves + 1;
+  for (VertexId v = 1; v <= leaves; ++v) s.edges.emplace_back(v, 0);
+  return s;
+}
+
+/// Runs `engine_name` on two machines, vertex v on machine `owner[v]`.
+/// The update function counts executions per global vertex in `runs`,
+/// then calls `body(ctx, run)` (run 1 is the vertex's first execution).
+/// `seed(engine, graph, machine)` runs on every machine after all engines
+/// exist and before Start().
+SignalCounters RunSignalCluster(
+    rpc::TransportKind kind, const std::string& engine_name,
+    const GraphStructure& structure, const PartitionAssignment& owner,
+    std::vector<std::atomic<uint32_t>>* runs,
+    const std::function<void(Context<DPRGraph>&, uint32_t)>& body,
+    const std::function<void(IEngine<DPRGraph>*, DPRGraph&,
+                             rpc::MachineContext&)>& seed) {
+  constexpr size_t kMachines = 2;
+  auto global = BuildPageRankGraph(structure);
+  auto colors = GreedyColoring(structure);
+  std::vector<rpc::MachineId> placement = {0, 1};
+  rpc::Runtime runtime(testutil::ClusterFor(kind, kMachines));
+  testutil::ClusterAllreduce allreduce(&runtime, 1);
+  std::vector<DPRGraph> graphs(kMachines);
+  std::vector<SignalCounters> per(kMachines);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    DPRGraph& graph = graphs[ctx.id];
+    ASSERT_TRUE(graph
+                    .InitFromGlobal(global, owner, colors, placement, ctx.id,
+                                    &ctx.comm())
+                    .ok());
+    ctx.barrier().Wait(ctx.id);
+    EngineOptions opts;
+    opts.num_threads = 2;
+    opts.max_pipeline_length = 64;
+    DistributedEngineDeps<PageRankVertex, PageRankEdge> deps;
+    deps.allreduce = &allreduce.at(ctx.id);
+    auto engine = std::move(
+        CreateEngine(engine_name, ctx, &graph, opts, deps).value());
+    engine->SetUpdateFn([&](Context<DPRGraph>& c) {
+      body(c, (*runs)[c.vertex_id()].fetch_add(1) + 1);
+    });
+    ctx.barrier().Wait(ctx.id);  // every forward handler is registered
+    seed(engine.get(), graph, ctx);
+    RunResult r = engine->Start();
+    metrics::MetricsRegistry& reg = ctx.metrics();
+    per[ctx.id].coalesced = reg.counter("sched.signals_coalesced")->Value();
+    per[ctx.id].frames = reg.counter("sched.signal_frames")->Value();
+    per[ctx.id].empty_scopes = reg.counter("locking.empty_scopes")->Value();
+    per[ctx.id].sweeps = r.sweeps;
+  });
+  SignalCounters total;
+  for (const SignalCounters& m : per) {
+    total.coalesced += m.coalesced;
+    total.frames += m.frames;
+    total.empty_scopes += m.empty_scopes;
+    total.sweeps = std::max(total.sweeps, m.sweeps);
+    total.max_frames_per_machine =
+        std::max(total.max_frames_per_machine, m.frames);
+  }
+  return total;
+}
+
+PartitionAssignment StarOwners(uint64_t leaves) {
+  PartitionAssignment owner(leaves + 1, 0);
+  owner[0] = 1;
+  return owner;
+}
+
+class SignalWindowTest
+    : public ::testing::TestWithParam<rpc::TransportKind> {};
+
+TEST_P(SignalWindowTest, ChromaticCoalescesGhostSignalsPerColorStep) {
+  constexpr uint64_t kLeaves = 64;
+  constexpr uint32_t kRepeats = 3;
+  std::vector<std::atomic<uint32_t>> runs(kLeaves + 1);
+  SignalCounters c = RunSignalCluster(
+      GetParam(), "chromatic", Star(kLeaves), StarOwners(kLeaves), &runs,
+      [](Context<DPRGraph>& ctx, uint32_t) {
+        for (uint32_t i = 0; i < kRepeats; ++i) {
+          for (auto e : ctx.out_edges()) ctx.Schedule(ctx.edge_target(e));
+        }
+      },
+      [](IEngine<DPRGraph>* engine, DPRGraph&, rpc::MachineContext& ctx) {
+        if (ctx.id == 0) engine->ScheduleAll();
+      });
+  EXPECT_EQ(runs[0].load(), 1u);
+  for (VertexId v = 1; v <= kLeaves; ++v) EXPECT_EQ(runs[v].load(), 1u);
+  // 64 leaves x 3 signals to one ghost: one bit, one entry, one frame.
+  EXPECT_EQ(c.coalesced, kLeaves * kRepeats - 1);
+  EXPECT_EQ(c.frames, 1u);
+  const uint64_t colors = 2, peers = 1;
+  EXPECT_LE(c.max_frames_per_machine, colors * peers * c.sweeps);
+}
+
+TEST_P(SignalWindowTest, ChromaticRunsGhostScheduledBeforeStart) {
+  constexpr uint64_t kLeaves = 8;
+  std::vector<std::atomic<uint32_t>> runs(kLeaves + 1);
+  SignalCounters c = RunSignalCluster(
+      GetParam(), "chromatic", Star(kLeaves), StarOwners(kLeaves), &runs,
+      [](Context<DPRGraph>&, uint32_t) {},
+      [](IEngine<DPRGraph>* engine, DPRGraph& graph,
+         rpc::MachineContext& ctx) {
+        if (ctx.id == 0) engine->Schedule(graph.Lvid(0));  // a ghost here
+      });
+  EXPECT_EQ(runs[0].load(), 1u);
+  for (VertexId v = 1; v <= kLeaves; ++v) EXPECT_EQ(runs[v].load(), 0u);
+  EXPECT_EQ(c.frames, 1u);
+}
+
+TEST_P(SignalWindowTest, LockingLosesNoSignalToAnInFlightScope) {
+  // Vertex 0 (machine 0) signals itself and its remote neighbour 1
+  // (machine 1) k times from inside its first update, while its own
+  // scope is granted, then lingers so an idle worker pops it meanwhile.
+  // The self-signals must re-run it exactly once after release; the k
+  // ghost signals ride one staged frame.
+  constexpr uint32_t kSignals = 50;
+  GraphStructure path;
+  path.num_vertices = 4;
+  path.edges = {{0, 1}, {1, 2}, {2, 3}};
+  const PartitionAssignment owner = {0, 1, 0, 1};
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<std::atomic<uint32_t>> runs(path.num_vertices);
+    SignalCounters c = RunSignalCluster(
+        GetParam(), "locking", path, owner, &runs,
+        [](Context<DPRGraph>& ctx, uint32_t run) {
+          if (ctx.vertex_id() != 0 || run != 1) return;
+          for (uint32_t i = 0; i < kSignals; ++i) {
+            ctx.ScheduleSelf();
+            for (auto e : ctx.out_edges()) ctx.Schedule(ctx.edge_target(e));
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        },
+        [](IEngine<DPRGraph>* engine, DPRGraph& graph,
+           rpc::MachineContext& ctx) {
+          if (ctx.id == 0) engine->Schedule(graph.Lvid(0));
+        });
+    EXPECT_EQ(runs[0].load(), 2u) << "rep " << rep;
+    EXPECT_GE(runs[1].load(), 1u) << "rep " << rep;
+    EXPECT_LE(runs[1].load(), 2u) << "rep " << rep;
+    EXPECT_EQ(runs[2].load(), 0u);
+    EXPECT_EQ(runs[3].load(), 0u);
+    EXPECT_EQ(c.frames, 1u) << "rep " << rep;
+  }
+}
+
+TEST_P(SignalWindowTest, CorruptForwardFrameIsDroppedNotFatal) {
+  constexpr uint64_t kLeaves = 4;
+  auto corrupt_frame = [] {
+    OutArchive oa;
+    oa << VertexId{0} << 1.0 << uint8_t{0};     // hub: owned by machine 1
+    oa << VertexId{9999} << 1.0 << uint8_t{0};  // not local anywhere
+    oa << VertexId{1} << 1.0 << uint8_t{0};     // a leaf: a ghost there
+    oa << VertexId{0} << 1.0 << uint8_t{7};     // unknown kind
+    oa << uint16_t{0xBEEF};                     // truncated tail
+    return oa;
+  };
+  std::vector<std::atomic<uint32_t>> runs(kLeaves + 1);
+  uint64_t decoded = 0, delivered = 0;
+  RunSignalCluster(
+      GetParam(), "chromatic", Star(kLeaves), StarOwners(kLeaves), &runs,
+      [](Context<DPRGraph>&, uint32_t) {},
+      [&](IEngine<DPRGraph>*, DPRGraph& graph, rpc::MachineContext& ctx) {
+        if (ctx.id == 0) {
+          ctx.comm().Send(0, 1, kScheduleForwardHandler, corrupt_frame());
+        } else {
+          // The shared decoder counts every decoded entry (the locking
+          // engine's termination count) but delivers only the owned one.
+          OutArchive oa = corrupt_frame();
+          InArchive ia(oa.buffer());
+          decoded = DecodeSignalFrame(graph, ia,
+                                      [&](LocalVid, double, SignalKind) {
+                                        ++delivered;
+                                      });
+        }
+      });
+  EXPECT_EQ(decoded, 4u);
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(runs[0].load(), 1u);
+  for (VertexId v = 1; v <= kLeaves; ++v) EXPECT_EQ(runs[v].load(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, SignalWindowTest,
+                         ::testing::ValuesIn(testutil::kAllTransports),
+                         testutil::KindParamName);
 
 // ---------------------------------------------------------------------
 // Sync operation
