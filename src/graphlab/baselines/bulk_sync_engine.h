@@ -13,7 +13,10 @@
 //     its owned vertices with no locking (neighbor reads come from the
 //     ghost values of the previous exchange), then one bulk all-to-all
 //     exchange of modified vertex data and a barrier.  Per-vertex
-//     overheads are zero, matching a hand-tuned MPI code.
+//     overheads are zero, matching a hand-tuned MPI code.  The exchange
+//     closes with one counting barrier round (rpc::Barrier::WaitFlushed):
+//     enter frames carry per-peer sent counts and each machine drains
+//     until it has handled what its peers sent it.
 //   * SetUpdateFn() via IEngine: the uniform GraphLab update function run
 //     in dense supersteps over every owned vertex.  Schedule() requests
 //     are counted and all-reduced: the run ends when no update anywhere
@@ -187,12 +190,14 @@ class BulkSyncEngine final
         // buffers; the superstep boundary is the flush window.
         graph_->FlushDeltas();
       }
-      ctx_.barrier().Wait(ctx_.id);
-      ctx_.comm().WaitQuiescent();
-      ctx_.barrier().Wait(ctx_.id);
+      // One counting barrier round: the scatter's delta handlers send
+      // nothing, so draining what each peer counted at entry flushes
+      // this machine's inbound channels (rpc::Barrier::WaitFlushed).
+      ctx_.barrier().WaitFlushed(ctx_.id);
 
-      // Globally consistent boundary (all machines aligned, channels
-      // flushed): the fault subsystem's checkpoint coordinator runs here.
+      // Globally consistent boundary (all machines aligned, this
+      // machine's inbound channels flushed): the fault subsystem's
+      // checkpoint coordinator runs here.
       this->RunBoundaryHook(step + 1);
 
       // Collective continuation decision.  Kernel mode without a residual

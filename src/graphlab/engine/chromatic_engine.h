@@ -11,10 +11,15 @@
 // Inside a color-step, changes to ghosts are communicated *asynchronously
 // as they are made* (FlushVertexScope after each update), making full use
 // of network bandwidth and processor time; a full communication barrier
-// (RPC barrier + channel quiescence + RPC barrier) separates color-steps.
-// Sync operations run between color-steps.  The color-step batches execute
-// on the substrate's self-scheduling batch workers; the engine itself owns
-// no threads.
+// separates color-steps.  That barrier is one counting round
+// (rpc::Barrier::WaitFlushed): every machine's enter frame carries its
+// per-peer sent counts, and the release tells each machine how many
+// messages to handle before it moves on.  The window's traffic is ghost
+// delta frames and signal frames, whose handlers send nothing, which is
+// the precondition that lets one round replace barrier + quiescence +
+// barrier.  Sync operations run between color-steps.  The color-step
+// batches execute on the substrate's self-scheduling batch workers; the
+// engine itself owns no threads.
 //
 // Signals to ghosts cost one bit.  Schedule() of a ghost sets its bit in
 // a per-engine bitset; repeated signals merge into that bit
@@ -22,8 +27,8 @@
 // it ends, before the ghost delta flush and the communication barrier,
 // the engine ships one forward frame per owner machine
 // (engine/signal_frame.h).  Start() ships one more on entry for schedules
-// made before the run.  The frames land before the barrier's quiescence,
-// so the next color-step and the sweep-end pending count see them, just
+// made before the run.  The barrier's drain waits for the frames, so
+// the next color-step and the sweep-end pending count see them, just
 // as they would have seen one message per signal: a ghost neighbour of a
 // color-c vertex has a different color, so it could not have run in
 // color-step c anyway.
@@ -76,7 +81,7 @@ class ChromaticEngine final
         ghost_signals_(graph->num_local_vertices()),
         signals_coalesced_(this->metrics_->counter("sched.signals_coalesced")),
         signal_frames_(this->metrics_->counter("sched.signal_frames")) {
-    ctx_.comm().RegisterHandler(
+    forward_registration_ = ctx_.comm().RegisterHandler(
         ctx_.id, kScheduleForwardHandler,
         [this](rpc::MachineId, InArchive& ia) {
           DecodeSignalFrame(*graph_, ia, [this](LocalVid l, double,
@@ -84,6 +89,14 @@ class ChromaticEngine final
             if (scheduled_.SetBit(l)) pending_.fetch_add(1);
           });
         });
+  }
+
+  /// A machine that aborts leaves its color-step without draining, so
+  /// peers' signal frames may still be in flight: drop the handler, and
+  /// wait out a running dispatch of it, before the state it uses dies.
+  ~ChromaticEngine() override {
+    ctx_.comm().UnregisterHandler(ctx_.id, kScheduleForwardHandler,
+                                  forward_registration_);
   }
 
   const char* name() const override { return "chromatic"; }
@@ -132,18 +145,18 @@ class ChromaticEngine final
                                  : GhostSyncMode::kPerScope,
                              this->options_.ghost_batch_bytes);
 
-    // Schedules made before the run; they land by the first color-step's
-    // quiescence at the latest.
+    // Schedules made before the run land before the first color-step.
     FlushGhostSignals();
+    BuildColorLists();
     // Align all machines before starting.
-    ctx_.barrier().Wait(ctx_.id);
+    ctx_.barrier().WaitFlushed(ctx_.id);
 
     for (;;) {
       GL_TRACE_SCOPE1(trace::kEngine, "chromatic.sweep", "sweep", sweeps + 1);
       for (ColorId color = 0; color < num_colors; ++color) {
         // An aborted machine (peer death, AbortAndJoin) stops executing
         // updates but keeps walking the collective call sequence — its
-        // barrier/quiescence calls are failure-released or cancelled, so
+        // barrier calls are failure-released or cancelled, so
         // it reaches the sweep-end decision instead of desynchronizing
         // the survivors' barrier generations.
         GL_TRACE_SCOPE1(trace::kEngine, "chromatic.color_step", "color",
@@ -154,10 +167,8 @@ class ChromaticEngine final
         FlushGhostSignals();
         graph_->FlushDeltas();
         // Full communication barrier between color-steps: everyone done
-        // sending, channels flushed, everyone observed the flush.
-        ctx_.barrier().Wait(ctx_.id);
-        ctx_.comm().WaitQuiescent();
-        ctx_.barrier().Wait(ctx_.id);
+        // sending, and this machine has handled all it was sent.
+        ctx_.barrier().WaitFlushed(ctx_.id);
         if (this->options_.sync_interval_steps != 0 && sync_ != nullptr &&
             !this->substrate_.aborted() &&
             ++steps_since_sync_ >= this->options_.sync_interval_steps) {
@@ -168,8 +179,10 @@ class ChromaticEngine final
         }
       }
       ++sweeps;
-      // Globally consistent boundary: all machines aligned, channels
-      // flushed.  The fault subsystem's checkpoint coordinator runs here.
+      // Globally consistent boundary: all machines aligned, this
+      // machine's inbound channels flushed (each machine checkpoints its
+      // own partition after its own drain).  The fault subsystem's
+      // checkpoint coordinator runs here.
       this->RunBoundaryHook(sweeps);
       // Cluster-wide continuation decision; a local abort propagates to
       // every machine through the high bits of the reduced word so the
@@ -223,40 +236,63 @@ class ChromaticEngine final
   /// pending-task count, each aborted machine adds one kAbortUnit.
   static constexpr uint64_t kAbortUnit = uint64_t{1} << 48;
 
+  /// Groups the owned vertices by color (a CSR over colors), keeping
+  /// owned_vertices() order within each color so every batch is the one
+  /// a filtered scan of owned_vertices() would build.
+  void BuildColorLists() {
+    const ColorId num_colors = graph_->num_colors();
+    const auto& owned = graph_->owned_vertices();
+    color_begin_.assign(num_colors + 1, 0);
+    for (LocalVid l : owned) {
+      if (graph_->color(l) < num_colors) ++color_begin_[graph_->color(l) + 1];
+    }
+    for (ColorId c = 0; c < num_colors; ++c) {
+      color_begin_[c + 1] += color_begin_[c];
+    }
+    color_vertices_.resize(color_begin_[num_colors]);
+    std::vector<size_t> next(color_begin_.begin(), color_begin_.end() - 1);
+    for (LocalVid l : owned) {
+      if (graph_->color(l) < num_colors) {
+        color_vertices_[next[graph_->color(l)]++] = l;
+      }
+    }
+  }
+
   uint64_t RunColorStep(ColorId color) {
     if (this->substrate_.aborted()) return 0;
     // Collect scheduled owned vertices of this color.
     std::vector<LocalVid> batch;
-    for (LocalVid l : graph_->owned_vertices()) {
-      if (graph_->color(l) == color && scheduled_.Test(l)) {
-        if (scheduled_.ClearBit(l)) {
-          pending_.fetch_sub(1);
-          batch.push_back(l);
-        }
+    for (size_t i = color_begin_[color]; i < color_begin_[color + 1]; ++i) {
+      const LocalVid l = color_vertices_[i];
+      if (scheduled_.Test(l) && scheduled_.ClearBit(l)) {
+        pending_.fetch_sub(1);
+        batch.push_back(l);
       }
     }
     if (batch.empty()) return 0;
 
     // Execute the color-step across the substrate's batch workers; ghost
-    // changes stream out asynchronously as each update commits.
+    // changes stream out asynchronously as each update commits.  Busy
+    // time is the chunk's thread CPU time: two clock reads per chunk,
+    // not per update.
     this->substrate_.RunBatch(
         this->options_.num_threads, batch.size(),
         [&](size_t begin, size_t end) {
+          const uint64_t cpu0 = Timer::ThreadCpuNanos();
           for (size_t i = begin; i < end; ++i) ExecuteUpdate(batch[i]);
+          this->substrate_.AddBusyNanos(Timer::ThreadCpuNanos() - cpu0);
         });
     local_updates_ += batch.size();
     return batch.size();
   }
 
   void ExecuteUpdate(LocalVid l) {
-    const uint64_t cpu0 = Timer::ThreadCpuNanos();
     ContextType context(graph_, l, 1.0, this->options_.consistency,
                         static_cast<Base*>(this), &Base::ScheduleTrampoline);
     this->update_fn_(context);
     graph_->FlushVertexScope(l);
     if (!update_counts_.empty()) update_counts_[l]++;
     this->substrate_.CountUpdate();
-    this->substrate_.AddBusyNanos(Timer::ThreadCpuNanos() - cpu0);
   }
 
   /// Ships the staged ghost signals: one frame per owner machine.
@@ -283,8 +319,13 @@ class ChromaticEngine final
 
   DenseBitset scheduled_;
   DenseBitset ghost_signals_;  // ghosts signalled in the current window
+  // Owned vertices grouped by color: color c's are
+  // color_vertices_[color_begin_[c], color_begin_[c + 1]).
+  std::vector<size_t> color_begin_;
+  std::vector<LocalVid> color_vertices_;
   metrics::Counter* signals_coalesced_;
   metrics::Counter* signal_frames_;
+  uint64_t forward_registration_ = 0;
   std::atomic<uint64_t> pending_{0};
   uint64_t local_updates_ = 0;
   uint64_t steps_since_sync_ = 0;

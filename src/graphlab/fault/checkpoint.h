@@ -4,10 +4,11 @@
 // of a running engine (Sec. 4.3), through the engines' boundary hook.
 //
 // The collective engines (chromatic, bulk_sync) invoke AtBoundary() at
-// every sweep/superstep boundary — all machines aligned between
-// barriers, all communication channels flushed — which is exactly the
-// "suspend and flush" precondition of the paper's synchronous snapshot,
-// obtained for free instead of with a dedicated stop-the-world phase.
+// every sweep/superstep boundary — all machines aligned by a barrier,
+// and each machine's inbound channels flushed before it journals its own
+// partition (Barrier::WaitFlushed) — which is exactly the "suspend and
+// flush" precondition of the paper's synchronous snapshot, obtained for
+// free instead of with a dedicated stop-the-world phase.
 //
 // Protocol per boundary (coordinator = machine 0):
 //   DECIDE  m0 checks its clock against the checkpoint interval and

@@ -8,6 +8,15 @@
 // generation have arrived, broadcasts BARRIER_RELEASE(generation).  Each
 // machine's release handler wakes its waiting thread.
 //
+// WaitFlushed is the counting (flushing) variant: the enter frame also
+// carries the machine's cumulative data-message counts to every peer,
+// the master assembles them into a sent matrix sent[src][dst], and each
+// release frame carries the receiver's column sent[*][m].  Machine m
+// then drains locally until it has handled at least sent[p][m] messages
+// from every live peer p.  Per-(src, dst) FIFO makes ">=" exact, so one
+// barrier round closes a communication window that would otherwise take
+// barrier + quiescence + barrier.
+//
 // Failure semantics: the master counts arrivals against the fabric's
 // current Membership, and re-evaluates every pending generation when a
 // machine dies — so survivors blocked on a dead machine's entry are
@@ -43,6 +52,22 @@ class Barrier {
   /// cancelled (peer death observed locally).
   bool Wait(MachineId m);
 
+  /// Wait(m), then blocks until machine m has handled every data message
+  /// any live machine sent it before that machine entered this barrier.
+  /// One barrier round, no quiescence probes.
+  ///
+  /// Precondition: the window's in-flight traffic has handlers that send
+  /// nothing (ghost delta frames, signal frames), and each machine's
+  /// sends of the window happen-before its own entry.  A handler that
+  /// forwards (lock chains, snapshot markers) would put new messages on
+  /// the wire that no entry counted; such windows need
+  /// barrier + CommLayer::WaitQuiescent + barrier instead.
+  ///
+  /// Returns true once drained; false when machine m is cancelled, the
+  /// membership changes after entry (peer death), or the transport
+  /// stops.  Dead peers' counts are skipped.
+  bool WaitFlushed(MachineId m);
+
   /// Wakes machine m's waiter (if blocked) and short-circuits its
   /// subsequent Wait() calls to return false immediately — the local
   /// "stop participating, a peer is dead" switch.  Note the entry message
@@ -77,18 +102,29 @@ class Barrier {
     uint64_t entered_generation = 0;
     uint64_t released_generation = 0;
     bool cancelled = false;
+    // Column sent[*][m] of the last release (empty for plain Wait).
+    std::vector<uint64_t> release_counts;
   };
   struct Generation {
     uint64_t id = 0;     // which generation this ring slot currently holds
     uint64_t count = 0;  // arrivals for it (0 after release)
+    // sent[src * n + dst] from the arrivals' enter frames; empty while
+    // no arrival carried counts.
+    std::vector<uint64_t> sent;
   };
 
+  /// Enters the barrier with this machine's sent row (empty for a plain
+  /// barrier) and waits for the release; on success `*column` (if given)
+  /// receives the release's column.
+  bool Enter(MachineId m, std::vector<uint64_t> sent_row,
+             std::vector<uint64_t>* column);
+  bool Cancelled(MachineId m);
   void OnEnter(MachineId src, InArchive& payload);
   void OnRelease(MachineId self, InArchive& payload);
   /// Master: release every pending generation satisfied under the current
   /// membership.  Caller holds master_mutex_.
   void EvaluateLocked();
-  void Broadcast(uint64_t generation);
+  void Broadcast(const Generation& g);
 
   CommLayer* comm_;
   std::vector<std::unique_ptr<Slot>> slots_;

@@ -40,12 +40,28 @@ CommLayer::CommLayer(std::unique_ptr<ITransport> transport)
 
 CommLayer::~CommLayer() { Stop(); }
 
-void CommLayer::RegisterHandler(MachineId machine, HandlerId id,
-                                Handler handler) {
+uint64_t CommLayer::RegisterHandler(MachineId machine, HandlerId id,
+                                    Handler handler) {
   GL_CHECK_LT(machine, num_machines());
+  auto reg = std::make_shared<Registration>();
+  reg->number = next_registration_.fetch_add(1, std::memory_order_relaxed);
+  reg->fn = std::move(handler);
   MachineHandlers& m = *handlers_[machine];
   std::lock_guard<std::mutex> lock(m.mutex);
-  m.handlers[id] = std::move(handler);
+  m.handlers[id] = reg;
+  return reg->number;
+}
+
+void CommLayer::UnregisterHandler(MachineId machine, HandlerId id,
+                                  uint64_t registration) {
+  GL_CHECK_LT(machine, num_machines());
+  MachineHandlers& m = *handlers_[machine];
+  std::unique_lock<std::mutex> lock(m.mutex);
+  auto it = m.handlers.find(id);
+  if (it != m.handlers.end() && it->second->number == registration) {
+    m.handlers.erase(it);
+  }
+  m.dispatch_done.wait(lock, [&] { return m.running != registration; });
 }
 
 void CommLayer::Start() { transport_->Start(); }
@@ -54,19 +70,30 @@ void CommLayer::Stop() { transport_->Stop(); }
 
 void CommLayer::Deliver(MachineId dst, MachineId src, HandlerId id,
                         InArchive& ia) {
-  Handler* handler = nullptr;
+  // The dispatch holds its own reference to the registration, so a
+  // concurrent re-registration cannot free the function it runs, and
+  // marks it running so UnregisterHandler can wait the call out.
+  std::shared_ptr<const Registration> reg;
   MachineHandlers& m = *handlers_[dst];
   {
     std::lock_guard<std::mutex> lock(m.mutex);
     auto it = m.handlers.find(id);
-    if (it != m.handlers.end()) handler = &it->second;
+    if (it != m.handlers.end()) {
+      reg = it->second;
+      m.running = reg->number;
+    }
   }
-  if (handler == nullptr) {
+  if (reg == nullptr) {
     GL_LOG(ERROR) << "machine " << dst << ": no handler for id " << id
                   << " (from " << src << ")";
     return;
   }
-  (*handler)(src, ia);
+  reg->fn(src, ia);
+  {
+    std::lock_guard<std::mutex> lock(m.mutex);
+    m.running = 0;
+  }
+  m.dispatch_done.notify_all();
   if (!ia.ok()) {
     GL_LOG(ERROR) << "machine " << dst << ": handler " << id
                   << " over-read its payload from " << src << ": "

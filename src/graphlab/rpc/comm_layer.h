@@ -23,7 +23,9 @@
 #ifndef GRAPHLAB_RPC_COMM_LAYER_H_
 #define GRAPHLAB_RPC_COMM_LAYER_H_
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -63,9 +65,19 @@ class CommLayer {
 
   /// Registers the handler for (machine, id).  Must complete before any
   /// message with that id is delivered; typically done before Start().
-  /// Re-registration replaces the previous handler.  Registrations for
-  /// machines this transport does not host are inert.
-  void RegisterHandler(MachineId machine, HandlerId id, Handler handler);
+  /// Re-registration replaces the previous handler (a dispatch already
+  /// running the old one finishes with it).  Registrations for machines
+  /// this transport does not host are inert.  Returns the registration's
+  /// number for UnregisterHandler.
+  uint64_t RegisterHandler(MachineId machine, HandlerId id, Handler handler);
+
+  /// Drops `registration` of (machine, id) unless a later registration
+  /// replaced it, and returns once no dispatch is running it, so an
+  /// object whose handler captures `this` can be destroyed right after.
+  /// Frames that arrive later are logged and dropped.  Must not be called
+  /// from a handler on `machine`.
+  void UnregisterHandler(MachineId machine, HandlerId id,
+                         uint64_t registration);
 
   /// Launches the transport's dispatch (and IO) threads.
   void Start();
@@ -99,8 +111,12 @@ class CommLayer {
   /// Blocks until the number of delivered messages equals the number sent
   /// between live machines and remains so for two consecutive checks
   /// (handlers can send more).  Callers sandwich this between cluster
-  /// barriers.  Returns false when the wait was unblocked by a peer
-  /// death (or transport stop) instead of proven quiescence.
+  /// barriers: the locking engine's teardown and synchronous snapshot,
+  /// and the fault runner's recovery drains, whose handlers cascade.
+  /// Step boundaries whose handlers send nothing use the one-round
+  /// Barrier::WaitFlushed instead.  Returns false when the wait was
+  /// unblocked by a peer death (or transport stop) instead of proven
+  /// quiescence.
   bool WaitQuiescent() { return transport_->WaitQuiescent(); }
 
   /// Best-effort point check of the same condition.
@@ -163,9 +179,16 @@ class CommLayer {
   uint64_t TotalDelivered() const { return transport_->TotalDelivered(); }
 
  private:
+  struct Registration {
+    uint64_t number = 0;
+    Handler fn;
+  };
   struct MachineHandlers {
     std::mutex mutex;
-    std::unordered_map<HandlerId, Handler> handlers;
+    std::condition_variable dispatch_done;
+    std::unordered_map<HandlerId, std::shared_ptr<const Registration>>
+        handlers;
+    uint64_t running = 0;  // registration being dispatched; 0 = none
   };
 
   /// The transport's delivery sink: resolves the handler and runs it on
@@ -175,6 +198,7 @@ class CommLayer {
   std::unique_ptr<ITransport> transport_;
   Membership membership_;
   std::vector<std::unique_ptr<MachineHandlers>> handlers_;
+  std::atomic<uint64_t> next_registration_{1};
 };
 
 }  // namespace rpc

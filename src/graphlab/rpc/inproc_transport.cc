@@ -19,6 +19,10 @@ struct InProcessTransport::MachineState {
     msgs_received = registry.counter("rpc.messages_received");
     bytes_received = registry.counter("rpc.bytes_received");
     peers.resize(num_machines);
+    data_sent_to =
+        std::make_unique<std::atomic<uint64_t>[]>(num_machines);
+    data_handled_from =
+        std::make_unique<std::atomic<uint64_t>[]>(num_machines);
     for (size_t p = 0; p < num_machines; ++p) {
       const std::string sp = std::to_string(p);
       peers[p].sent_msgs = registry.counter("rpc.to." + sp + ".messages");
@@ -52,6 +56,13 @@ struct InProcessTransport::MachineState {
   // Causal id stamped on this machine's outgoing data messages (from 1;
   // 0 = unstamped control/out-of-band traffic).
   std::atomic<uint64_t> data_seq{0};
+
+  // Counting-barrier counters (never reset, out-of-band excluded): this
+  // machine's row and column of the cluster's sent/handled matrices.
+  // Slot [p] counts data messages sent to p / handled from p.
+  std::unique_ptr<std::atomic<uint64_t>[]> data_sent_to;
+  std::unique_ptr<std::atomic<uint64_t>[]> data_handled_from;
+  DispatchProgress progress;
 
   // Stall deadline in steady-clock nanoseconds; 0 = no stall.
   std::atomic<uint64_t> stall_until_ns{0};
@@ -112,6 +123,7 @@ void InProcessTransport::Stop() {
     if (m->dispatcher.joinable()) m->dispatcher.join();
   }
   started_.store(false);
+  for (auto& m : machines_) m->progress.Notify();
 }
 
 void InProcessTransport::Send(MachineId src, MachineId dst, HandlerId handler,
@@ -192,14 +204,24 @@ void InProcessTransport::SendImpl(MachineId src, MachineId dst,
   // Out-of-band traffic skips the quiescence balance on BOTH sides (here
   // and in DispatchLoop), so continuous telemetry streaming cannot keep
   // the cluster from proving itself quiescent.
-  if (!out_of_band) enqueued_.fetch_add(1, std::memory_order_acq_rel);
+  if (!out_of_band) {
+    enqueued_.fetch_add(1, std::memory_order_acq_rel);
+    s.data_sent_to[dst].fetch_add(1, std::memory_order_acq_rel);
+  }
   auto deliver_at = std::chrono::steady_clock::time_point(
       std::chrono::nanoseconds(deliver_ns));
   if (!d.inbox.PushAt(std::move(msg), deliver_at) && !out_of_band) {
     // Queue was shut down; account the message as delivered so that
     // WaitQuiescent cannot deadlock during teardown.
-    delivered_.fetch_add(1, std::memory_order_acq_rel);
+    CountHandled(dst, src);
   }
+}
+
+void InProcessTransport::CountHandled(MachineId dst, MachineId src) {
+  MachineState& d = *machines_[dst];
+  delivered_.fetch_add(1, std::memory_order_acq_rel);
+  d.data_handled_from[src].fetch_add(1, std::memory_order_acq_rel);
+  d.progress.Notify();
 }
 
 void InProcessTransport::DispatchLoop(MachineId machine) {
@@ -230,9 +252,7 @@ void InProcessTransport::DispatchLoop(MachineId machine) {
     // the balance, so it is skipped symmetrically.
     if (down_[machine]->load(std::memory_order_acquire) ||
         down_[msg->src]->load(std::memory_order_acquire)) {
-      if (!msg->out_of_band) {
-        delivered_.fetch_add(1, std::memory_order_acq_rel);
-      }
+      if (!msg->out_of_band) CountHandled(machine, msg->src);
       continue;
     }
 
@@ -245,9 +265,7 @@ void InProcessTransport::DispatchLoop(MachineId machine) {
       InArchive ia(msg->payload);
       sink_(machine, msg->src, msg->handler, ia);
     }
-    if (!msg->out_of_band) {
-      delivered_.fetch_add(1, std::memory_order_acq_rel);
-    }
+    if (!msg->out_of_band) CountHandled(machine, msg->src);
   }
 }
 
@@ -274,6 +292,36 @@ bool InProcessTransport::WaitQuiescent() {
     last_delivered = (e == d) ? d : ~uint64_t{0};
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
+}
+
+uint64_t InProcessTransport::DataSent(MachineId src, MachineId dst) const {
+  GL_CHECK_LT(src, num_machines_);
+  GL_CHECK_LT(dst, num_machines_);
+  return machines_[src]->data_sent_to[dst].load(std::memory_order_acquire);
+}
+
+uint64_t InProcessTransport::DataHandled(MachineId dst, MachineId src) const {
+  GL_CHECK_LT(dst, num_machines_);
+  GL_CHECK_LT(src, num_machines_);
+  return machines_[dst]->data_handled_from[src].load(
+      std::memory_order_acquire);
+}
+
+bool InProcessTransport::WaitDispatchProgress(
+    MachineId dst, const std::function<bool()>& ready) {
+  GL_CHECK_LT(dst, num_machines_);
+  GL_TRACE_SCOPE(trace::kRpc, "wait_dispatch_progress");
+  bool stopped = false;
+  machines_[dst]->progress.Wait([&] {
+    stopped = !started_.load(std::memory_order_acquire);
+    return stopped || ready();
+  });
+  return !stopped;
+}
+
+void InProcessTransport::WakeDispatchWaiters(MachineId dst) {
+  GL_CHECK_LT(dst, num_machines_);
+  machines_[dst]->progress.Notify();
 }
 
 void InProcessTransport::SetPeerDownListener(PeerDownCallback cb) {

@@ -14,10 +14,12 @@
 //  * InjectStall(m, d) freezes machine m's dispatch for d — the mechanism
 //    used to reproduce the paper's simulated 15 s machine fault (Fig. 4b).
 //  * WaitQuiescent() blocks until every enqueued message has been handled
-//    (global enqueued == delivered counters, stable twice); the chromatic
-//    engine uses it for the full communication barrier between
-//    color-steps (Sec. 4.2.1) and the synchronous snapshot uses it to
-//    flush channels (Sec. 4.3).
+//    (global enqueued == delivered counters, stable twice); the locking
+//    engine's teardown and the synchronous snapshot use it to flush
+//    channels whose handlers cascade (Sec. 4.3).
+//  * Per-(src, dst) sent/handled counters and a per-machine dispatch
+//    progress signal back Barrier::WaitFlushed, the one-round barrier
+//    between chromatic color-steps (Sec. 4.2.1).
 
 #ifndef GRAPHLAB_RPC_INPROC_TRANSPORT_H_
 #define GRAPHLAB_RPC_INPROC_TRANSPORT_H_
@@ -64,6 +66,11 @@ class InProcessTransport final : public ITransport {
 
   bool WaitQuiescent() override;
   bool IsQuiescent() override;
+  uint64_t DataSent(MachineId src, MachineId dst) const override;
+  uint64_t DataHandled(MachineId dst, MachineId src) const override;
+  bool WaitDispatchProgress(MachineId dst,
+                            const std::function<bool()>& ready) override;
+  void WakeDispatchWaiters(MachineId dst) override;
   void InjectStall(MachineId machine,
                    std::chrono::nanoseconds duration) override;
   bool StallActive(MachineId machine) const override;
@@ -92,6 +99,9 @@ class InProcessTransport final : public ITransport {
   struct MachineState;
 
   void DispatchLoop(MachineId machine);
+  /// Accounts one data message from `src` as handled on `dst` (also for
+  /// drops) and wakes dst's dispatch-progress waiters.
+  void CountHandled(MachineId dst, MachineId src);
   void SendImpl(MachineId src, MachineId dst, HandlerId handler,
                 OutArchive payload, bool out_of_band);
 

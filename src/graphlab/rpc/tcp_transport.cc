@@ -535,6 +535,7 @@ void TcpTransport::DispatchLoop() {
     peers_[msg->src]->data_handled_from.fetch_add(1,
                                                   std::memory_order_acq_rel);
     probe_cv_.notify_all();
+    progress_.Notify();
   }
 }
 
@@ -600,6 +601,8 @@ void TcpTransport::Send(MachineId src, MachineId dst, HandlerId handler,
     bytes_received_->Inc(wire_bytes);
     if (!dispatch_queue_.Push(std::move(msg))) {
       data_handled_total_.fetch_add(1, std::memory_order_acq_rel);
+      peer.data_handled_from.fetch_add(1, std::memory_order_acq_rel);
+      progress_.Notify();
     }
     return;
   }
@@ -771,6 +774,35 @@ bool TcpTransport::IsQuiescent() {
   return sent == handled;
 }
 
+uint64_t TcpTransport::DataSent(MachineId src, MachineId dst) const {
+  GL_CHECK_EQ(src, me_) << "TCP transport only hosts machine " << me_;
+  GL_CHECK_LT(dst, endpoints_.size());
+  return peers_[dst]->data_sent.load(std::memory_order_acquire);
+}
+
+uint64_t TcpTransport::DataHandled(MachineId dst, MachineId src) const {
+  GL_CHECK_EQ(dst, me_) << "TCP transport only hosts machine " << me_;
+  GL_CHECK_LT(src, endpoints_.size());
+  return peers_[src]->data_handled_from.load(std::memory_order_acquire);
+}
+
+bool TcpTransport::WaitDispatchProgress(MachineId dst,
+                                        const std::function<bool()>& ready) {
+  GL_CHECK_EQ(dst, me_) << "TCP transport only hosts machine " << me_;
+  GL_TRACE_SCOPE(trace::kRpc, "wait_dispatch_progress");
+  bool stopped = false;
+  progress_.Wait([&] {
+    stopped = stopping_.load(std::memory_order_acquire) ||
+              killed_.load(std::memory_order_acquire);
+    return stopped || ready();
+  });
+  return !stopped;
+}
+
+void TcpTransport::WakeDispatchWaiters(MachineId dst) {
+  if (dst == me_) progress_.Notify();
+}
+
 void TcpTransport::SetPeerDownListener(PeerDownCallback cb) {
   std::lock_guard<std::mutex> lock(peer_down_mutex_);
   peer_down_ = std::move(cb);
@@ -881,6 +913,7 @@ void TcpTransport::InjectKill(MachineId m) {
     return;
   }
   if (killed_.exchange(true)) return;
+  progress_.Notify();
   GL_LOG(WARNING) << "machine " << me_
                   << ": InjectKill — dying abruptly (no goodbye)";
   // Slam every socket shut so peers observe EOF, exactly like a crashed
@@ -949,6 +982,7 @@ void TcpTransport::Stop() {
   if (!started_.load()) return;
   if (stopping_.exchange(true)) return;
   probe_cv_.notify_all();
+  progress_.Notify();
 
   // 1. Stop producing: connector threads give up their retry loops, the
   //    heartbeat prober stops pinging.

@@ -56,6 +56,11 @@
 // replies are control frames, excluded from the counters and from
 // CommStats.
 //
+// The same per-peer counters back the counting barrier
+// (Barrier::WaitFlushed): DataSent(me, p) is Peer::data_sent and
+// DataHandled(me, p) is Peer::data_handled_from, and the dispatch thread
+// signals a progress waiter after every handled data frame.
+//
 // Failure surface: a peer becomes DOWN through a send error, receive-side
 // EOF, a missed-heartbeat deadline, or an explicit MarkPeerDown.  From
 // then on (a) frames queued or submitted for it are dropped, (b) the
@@ -131,6 +136,14 @@ class TcpTransport final : public ITransport {
 
   bool WaitQuiescent() override;
   bool IsQuiescent() override;
+
+  /// The counting-barrier counters are the per-peer quiescence counters
+  /// (Peer::data_sent / data_handled_from); only `me` is hosted.
+  uint64_t DataSent(MachineId src, MachineId dst) const override;
+  uint64_t DataHandled(MachineId dst, MachineId src) const override;
+  bool WaitDispatchProgress(MachineId dst,
+                            const std::function<bool()>& ready) override;
+  void WakeDispatchWaiters(MachineId dst) override;
 
   /// Stall injection is a property of the simulated backend; here it
   /// logs once and is ignored.
@@ -210,6 +223,8 @@ class TcpTransport final : public ITransport {
   std::atomic<uint64_t> probe_seq_{0};
   std::mutex probe_mutex_;
   std::condition_variable probe_cv_;
+  // Signalled after every handled data frame (WaitDispatchProgress).
+  DispatchProgress progress_;
 
   // Failure state.
   std::atomic<uint64_t> down_version_{0};

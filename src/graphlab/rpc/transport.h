@@ -29,8 +29,10 @@
 #define GRAPHLAB_RPC_TRANSPORT_H_
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,6 +106,31 @@ struct PeerCommStats {
   uint64_t bytes_received = 0;
 };
 
+/// Wakes threads waiting on one machine's dispatch progress (the local
+/// drain of Barrier::WaitFlushed).  Producers publish progress (an
+/// atomic counter bump) and then call Notify(); waiters block in Wait()
+/// on a predicate over that progress.  Notify() passes through the mutex
+/// the predicate runs under, so a waiter between its check and its sleep
+/// cannot miss the wakeup.
+class DispatchProgress {
+ public:
+  void Notify() {
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    cv_.notify_all();
+  }
+
+  /// Blocks until `ready()` holds; it runs under the internal mutex.
+  template <typename Pred>
+  void Wait(Pred ready) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, ready);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+};
+
 /// The interconnect interface.  All methods are thread safe.  Lifecycle:
 /// construct -> SetDeliverySink -> Start -> (traffic) -> Stop.
 class ITransport {
@@ -170,8 +197,12 @@ class ITransport {
 
   /// Blocks until every message sent between LIVE machines has been
   /// handled, observed stable twice (handlers can send more).  Callers
-  /// sandwich this between cluster barriers (the chromatic color-step
-  /// protocol) so no machine races new sends past the check.  Traffic to
+  /// sandwich this between cluster barriers so no machine races new sends
+  /// past the check; that is for windows whose handlers cascade (the
+  /// locking engine's teardown and synchronous snapshot, fault-recovery
+  /// drains).  Windows whose handlers send nothing use the one-round
+  /// Barrier::WaitFlushed instead (chromatic color-steps, bulk-sync
+  /// supersteps).  Traffic to
   /// and from peers already marked down is excluded from the counting.
   /// Returns true when quiescence was proven; false when the wait was
   /// unblocked instead — a peer died during the wait, or the transport is
@@ -181,6 +212,35 @@ class ITransport {
 
   /// Best-effort point check of the same condition.
   virtual bool IsQuiescent() = 0;
+
+  // ------------------------------------------------------------------
+  // Counting-barrier surface (Barrier::WaitFlushed)
+  // ------------------------------------------------------------------
+  //
+  // Cumulative per-pair data-message counters: never reset, out-of-band
+  // traffic excluded.  Both backends deliver each (src, dst) pair in
+  // FIFO order, so "dst handled >= k messages from src" means the first
+  // k that src sent have all been handled.
+
+  /// Data messages local machine `src` has sent to `dst`, counted at
+  /// send time.
+  virtual uint64_t DataSent(MachineId src, MachineId dst) const = 0;
+
+  /// Data messages from `src` that local machine `dst` has finished
+  /// handling (or dropped because either end is down).
+  virtual uint64_t DataHandled(MachineId dst, MachineId src) const = 0;
+
+  /// Blocks until `ready()` holds and returns true, or returns false
+  /// once the transport stops.  `ready` runs under an internal lock and
+  /// must not block; it is re-evaluated each time local machine `dst`
+  /// finishes a data message, on Stop(), and on WakeDispatchWaiters(dst).
+  virtual bool WaitDispatchProgress(MachineId dst,
+                                    const std::function<bool()>& ready) = 0;
+
+  /// Re-evaluates the predicates of `dst`'s WaitDispatchProgress callers
+  /// (a condition outside the transport changed: a barrier cancel, a
+  /// membership transition).  No-op for machines not hosted here.
+  virtual void WakeDispatchWaiters(MachineId dst) = 0;
 
   // ------------------------------------------------------------------
   // Failure surface (fault/ subsystem; see fault/failure_detector.h)

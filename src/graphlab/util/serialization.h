@@ -187,6 +187,7 @@ class InArchive {
       Fail(out, n);
       return false;
     }
+    if (n == 0) return true;  // `out` may be null (an empty vector)
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;

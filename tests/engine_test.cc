@@ -450,6 +450,8 @@ struct SignalCounters {
   uint64_t empty_scopes = 0;  // locking.empty_scopes
   uint64_t sweeps = 0;
   uint64_t max_frames_per_machine = 0;
+  uint64_t messages = 0;       // RunResult::messages_sent
+  uint64_t delta_batches = 0;  // graph.delta_batches_sent during Start()
 };
 
 /// A star: hub 0 on machine 1, leaves 1..`leaves` on machine 0, one edge
@@ -500,7 +502,10 @@ SignalCounters RunSignalCluster(
     });
     ctx.barrier().Wait(ctx.id);  // every forward handler is registered
     seed(engine.get(), graph, ctx);
+    const uint64_t batches_before = graph.delta_batches_sent();
     RunResult r = engine->Start();
+    per[ctx.id].messages = r.messages_sent;
+    per[ctx.id].delta_batches = graph.delta_batches_sent() - batches_before;
     metrics::MetricsRegistry& reg = ctx.metrics();
     per[ctx.id].coalesced = reg.counter("sched.signals_coalesced")->Value();
     per[ctx.id].frames = reg.counter("sched.signal_frames")->Value();
@@ -515,6 +520,8 @@ SignalCounters RunSignalCluster(
     total.sweeps = std::max(total.sweeps, m.sweeps);
     total.max_frames_per_machine =
         std::max(total.max_frames_per_machine, m.frames);
+    total.messages += m.messages;
+    total.delta_batches += m.delta_batches;
   }
   return total;
 }
@@ -549,6 +556,33 @@ TEST_P(SignalWindowTest, ChromaticCoalescesGhostSignalsPerColorStep) {
   EXPECT_EQ(c.frames, 1u);
   const uint64_t colors = 2, peers = 1;
   EXPECT_LE(c.max_frames_per_machine, colors * peers * c.sweeps);
+}
+
+TEST_P(SignalWindowTest, ChromaticClosesEachColorStepInOneBarrierRound) {
+  // Every message of a chromatic run is a signal frame, a delta batch or
+  // part of a collective round of 2 x machines messages (n enters + n
+  // releases, or n contributions + n results).  The rounds are one
+  // barrier per color-step plus the Start() alignment, and one allreduce
+  // per sweep plus the final update count.  Barrier + quiescence +
+  // barrier would add one more round per color-step.
+  constexpr uint64_t kLeaves = 64;
+  std::vector<std::atomic<uint32_t>> runs(kLeaves + 1);
+  SignalCounters c = RunSignalCluster(
+      GetParam(), "chromatic", Star(kLeaves), StarOwners(kLeaves), &runs,
+      [](Context<DPRGraph>& ctx, uint32_t run) {
+        ctx.vertex_data().rank += 1.0;  // a ghost write on every leaf
+        if (run == 1) {
+          for (auto e : ctx.out_edges()) ctx.Schedule(ctx.edge_target(e));
+        }
+      },
+      [](IEngine<DPRGraph>* engine, DPRGraph&, rpc::MachineContext&) {
+        engine->ScheduleAll();
+      });
+  const uint64_t machines = 2, colors = 2;
+  const uint64_t rounds = 1 + c.sweeps * colors + c.sweeps + 1;
+  EXPECT_GE(c.sweeps, 2u);
+  EXPECT_GT(c.delta_batches, 0u);
+  EXPECT_LE(c.messages, c.frames + c.delta_batches + 2 * machines * rounds);
 }
 
 TEST_P(SignalWindowTest, ChromaticRunsGhostScheduledBeforeStart) {

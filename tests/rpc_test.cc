@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <thread>
 
@@ -43,6 +44,51 @@ TEST(CommLayerTest, DeliversToRegisteredHandler) {
   comm.Send(0, 1, 100, std::move(oa));
   comm.WaitQuiescent();
   EXPECT_EQ(received.load(), 1);
+}
+
+TEST(CommLayerTest, UnregisterWaitsOutRunningDispatchThenDrops) {
+  CommLayer comm(2, FastComm());
+  std::atomic<int> calls{0};
+  std::atomic<bool> running{false}, release{false}, unregistered{false};
+  const uint64_t reg =
+      comm.RegisterHandler(1, 100, [&](MachineId, InArchive&) {
+        calls.fetch_add(1);
+        running.store(true);
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+  comm.Start();
+  comm.Send(0, 1, 100, OutArchive());
+  while (!running.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread unregister([&] {
+    comm.UnregisterHandler(1, 100, reg);
+    unregistered.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(unregistered.load()) << "returned while the handler ran";
+  release.store(true);
+  unregister.join();
+  comm.Send(0, 1, 100, OutArchive());  // no handler any more: dropped
+  comm.WaitQuiescent();
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(CommLayerTest, UnregisterOfReplacedRegistrationKeepsTheNewOne) {
+  CommLayer comm(2, FastComm());
+  std::atomic<int> old_calls{0}, new_calls{0};
+  const uint64_t old_reg = comm.RegisterHandler(
+      1, 100, [&](MachineId, InArchive&) { old_calls.fetch_add(1); });
+  comm.RegisterHandler(1, 100,
+                       [&](MachineId, InArchive&) { new_calls.fetch_add(1); });
+  comm.UnregisterHandler(1, 100, old_reg);
+  comm.Start();
+  comm.Send(0, 1, 100, OutArchive());
+  comm.WaitQuiescent();
+  EXPECT_EQ(old_calls.load(), 0);
+  EXPECT_EQ(new_calls.load(), 1);
 }
 
 TEST(CommLayerTest, SelfSendWorks) {
@@ -518,6 +564,147 @@ TEST(BarrierTest, SynchronizesMachines) {
   EXPECT_FALSE(violation.load());
   EXPECT_EQ(phase_counter.load(), 40);
 }
+
+// ---------------------------------------------------------------------
+// Counting barrier (WaitFlushed), over both transports
+// ---------------------------------------------------------------------
+
+constexpr HandlerId kFlushTestHandler = 200;
+
+class WaitFlushedTest : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(WaitFlushedTest, HandlesEverythingSentBeforeEntry) {
+  constexpr size_t kMachines = 3;
+  constexpr uint64_t kPerPeer = 40;
+  constexpr uint64_t kRounds = 4;
+  Runtime runtime(
+      graphlab::testutil::ClusterFor(GetParam(), kMachines, 100));
+  std::vector<std::atomic<uint64_t>> handled(kMachines);
+  runtime.Run([&](MachineContext& ctx) {
+    const MachineId me = ctx.id;
+    ctx.comm().RegisterHandler(me, kFlushTestHandler,
+                               [&, me](MachineId, InArchive& ia) {
+                                 ia.ReadValue<uint64_t>();
+                                 handled[me].fetch_add(1);
+                               });
+    ASSERT_TRUE(ctx.barrier().Wait(me));  // every handler registered
+    for (uint64_t round = 1; round <= kRounds; ++round) {
+      // Hold this machine's dispatch back (the simulated backend honours
+      // stalls; TCP ignores them) while its inbox fills.
+      ctx.comm().InjectStall(me, std::chrono::milliseconds(20));
+      for (MachineId dst = 0; dst < kMachines; ++dst) {
+        for (uint64_t i = 0; i < kPerPeer; ++i) {
+          OutArchive oa;
+          oa << i;
+          ctx.comm().Send(me, dst, kFlushTestHandler, std::move(oa));
+        }
+      }
+      ASSERT_TRUE(ctx.barrier().WaitFlushed(me));
+      EXPECT_EQ(handled[me].load(), round * kPerPeer * kMachines);
+      ASSERT_TRUE(ctx.barrier().Wait(me));  // round's check before resend
+    }
+  });
+}
+
+TEST_P(WaitFlushedTest, DrainsThirdPartyFramesUnorderedWithRelease) {
+  // Machine 2's frames to machine 1 share no FIFO channel with the
+  // master's release to machine 1 (on TCP they ride separate sockets).
+  // A large frame keeps machine 1's receive side busy well past the
+  // release, so only the drain can make machine 1 wait for it.
+  constexpr size_t kMachines = 3;
+  constexpr uint64_t kRounds = 3;
+  Runtime runtime(graphlab::testutil::ClusterFor(GetParam(), kMachines));
+  std::vector<uint64_t> big(uint64_t{1} << 20);  // 8 MiB
+  std::iota(big.begin(), big.end(), uint64_t{0});
+  std::atomic<uint64_t> frames{0};
+  runtime.Run([&](MachineContext& ctx) {
+    const MachineId me = ctx.id;
+    ctx.comm().RegisterHandler(me, kFlushTestHandler,
+                               [&](MachineId, InArchive& ia) {
+                                 std::vector<uint64_t> got;
+                                 ia >> got;
+                                 if (got == big) frames.fetch_add(1);
+                               });
+    ASSERT_TRUE(ctx.barrier().Wait(me));
+    for (uint64_t round = 1; round <= kRounds; ++round) {
+      if (me == 2) {
+        OutArchive oa;
+        oa << big;
+        ctx.comm().Send(2, 1, kFlushTestHandler, std::move(oa));
+      }
+      ASSERT_TRUE(ctx.barrier().WaitFlushed(me));
+      if (me == 1) {
+        EXPECT_EQ(frames.load(), round);
+      }
+      ASSERT_TRUE(ctx.barrier().Wait(me));  // round's check before resend
+    }
+  });
+}
+
+/// Machine 1 enters WaitFlushed alone.  Machine 0's program thread,
+/// standing in for the master, releases it with a column demanding
+/// `kDemand` messages from machine 2 that nobody has sent, so machine 1
+/// sits in its local drain.  `act(runtime)` then runs on machine 0's
+/// thread.  Returns WaitFlushed's result.
+constexpr uint64_t kDemand = 3;
+
+bool DrainOutcome(TransportKind kind,
+                  const std::function<void(Runtime&)>& act) {
+  Runtime runtime(graphlab::testutil::ClusterFor(kind, 3));
+  std::atomic<int> outcome{-1};
+  runtime.Run([&](MachineContext& ctx) {
+    const MachineId me = ctx.id;
+    ctx.comm().RegisterHandler(
+        me, kFlushTestHandler,
+        [](MachineId, InArchive& ia) { ia.ReadValue<uint64_t>(); });
+    ASSERT_TRUE(ctx.barrier().Wait(me));  // generation 1
+    if (me == 1) {
+      outcome.store(ctx.barrier().WaitFlushed(me) ? 1 : 0);
+      return;
+    }
+    if (me != 0) return;
+    Barrier& barrier1 = runtime.barrier(1);
+    Timer timer;
+    while (barrier1.entered_generation(1) < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ASSERT_LT(timer.Seconds(), 10.0) << "machine 1 never entered";
+    }
+    OutArchive release;
+    release << uint64_t{2} << std::vector<uint64_t>{0, 0, kDemand};
+    ctx.comm().Send(0, 1, kBarrierRelease, std::move(release));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(outcome.load(), -1) << "returned with its drain unsatisfied";
+    act(runtime);
+  });
+  EXPECT_NE(outcome.load(), -1);
+  return outcome.load() == 1;
+}
+
+TEST_P(WaitFlushedTest, DrainEndsWhenDemandedMessagesArrive) {
+  EXPECT_TRUE(DrainOutcome(GetParam(), [](Runtime& runtime) {
+    for (uint64_t i = 0; i < kDemand; ++i) {
+      OutArchive oa;
+      oa << i;
+      runtime.comm(2).Send(2, 1, kFlushTestHandler, std::move(oa));
+    }
+  }));
+}
+
+TEST_P(WaitFlushedTest, PeerDeathDuringDrainReturnsFalse) {
+  EXPECT_FALSE(DrainOutcome(GetParam(), [](Runtime& runtime) {
+    runtime.comm(2).InjectKill(2);
+  }));
+}
+
+TEST_P(WaitFlushedTest, CancelDuringDrainReturnsFalse) {
+  EXPECT_FALSE(DrainOutcome(GetParam(), [](Runtime& runtime) {
+    runtime.barrier(1).Cancel(1);
+  }));
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, WaitFlushedTest,
+                         ::testing::ValuesIn(graphlab::testutil::kAllTransports),
+                         graphlab::testutil::KindParamName);
 
 // ---------------------------------------------------------------------
 // Termination detection

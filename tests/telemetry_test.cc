@@ -298,7 +298,12 @@ TEST(TelemetryChannelTest, SamplesReachMasterInProcess) {
   w1.Publish(s);
   s.machine = 2;
   w2.Publish(s);
-  comm.WaitQuiescent();
+  // Telemetry is out of band, so WaitQuiescent does not wait for it by
+  // design: wait on the deliveries themselves, with a deadline.
+  Timer timer;
+  while (seen.load() < 3 && timer.Seconds() < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(seen.load(), 3u);
   EXPECT_EQ(from_machines.load(), 0b111u);
 }
