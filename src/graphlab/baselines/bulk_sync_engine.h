@@ -123,8 +123,7 @@ class BulkSyncEngine final
     // read ghosts after the scatter barrier.
     graph_->SetGhostSyncMode(this->options_.ghost_coalescing
                                  ? GhostSyncMode::kCoalesced
-                                 : GhostSyncMode::kPerScope,
-                             this->options_.ghost_batch_bytes);
+                                 : GhostSyncMode::kPerScope);
     ctx_.barrier().Wait(ctx_.id);
 
     uint64_t max_supersteps = this->options_.max_sweeps;
@@ -186,8 +185,8 @@ class BulkSyncEngine final
         graph_->FlushAllOwnedBulk();
       } else {
         for (LocalVid l : batch) graph_->FlushVertexScope(l);
-        // With coalescing on, per-scope flushes staged into the per-peer
-        // buffers; the superstep boundary is the flush window.
+        // With coalescing on, per-scope flushes staged bits; the
+        // superstep boundary is the flush window.
         graph_->FlushDeltas();
       }
       // One counting barrier round: the scatter's delta handlers send

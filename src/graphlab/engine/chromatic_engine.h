@@ -142,8 +142,7 @@ class ChromaticEngine final
     // instead of one frame per scope commit.
     graph_->SetGhostSyncMode(this->options_.ghost_coalescing
                                  ? GhostSyncMode::kCoalesced
-                                 : GhostSyncMode::kPerScope,
-                             this->options_.ghost_batch_bytes);
+                                 : GhostSyncMode::kPerScope);
 
     // Schedules made before the run land before the first color-step.
     FlushGhostSignals();
@@ -298,12 +297,9 @@ class ChromaticEngine final
   /// Ships the staged ghost signals: one frame per owner machine.
   void FlushGhostSignals() {
     SignalFrames frames;
-    const size_t n = ghost_signals_.size();
-    for (size_t l = ghost_signals_.FindFirstFrom(0); l < n;
-         l = ghost_signals_.FindFirstFrom(l + 1)) {
-      ghost_signals_.ClearBit(l);
-      frames.Add(*graph_, l, 1.0, SignalKind::kUser);
-    }
+    ghost_signals_.DrainSetBits([&](size_t l) {
+      frames.Add(*graph_, static_cast<LocalVid>(l), 1.0, SignalKind::kUser);
+    });
     frames.Send(ctx_.comm(), ctx_.id, signal_frames_);
   }
 

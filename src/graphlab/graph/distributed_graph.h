@@ -36,13 +36,19 @@
 //    destination holding a replica of something that changed.  The
 //    locking engine requires this: pushes must precede lock releases on
 //    the same FIFO channel.
-//  * kCoalesced — FlushVertexScope() stages dirty entities into per-peer
-//    send buffers; repeated writes to the same entity within the flush
-//    window merge (last write wins, at its final version), and
-//    FlushDeltas() ships each peer's buffer as ONE framed delta batch.
-//    Engines whose consumers only read ghosts after a communication
-//    barrier (chromatic color-steps, bulk-sync supersteps) use this —
-//    one frame per peer per window instead of one per scope commit.
+//  * kCoalesced — FlushVertexScope() stages a dirty entity as one bit in
+//    a per-graph vertex or edge bitset; setting a bit that is already set
+//    merges the write (graph.coalesced_merges).  FlushDeltas() closes the
+//    window: it clears the set bits, groups their entities by peer, and
+//    encodes ONE frame per peer straight from the gvid, version and data
+//    columns, so a staged entity's bytes are read when the window closes
+//    (last write wins, at its final version).  Precondition: nobody but
+//    the stager writes a staged entity until the window closes.  Engines
+//    whose consumers only read ghosts after a communication barrier use
+//    this: in a chromatic color-step only a color-c vertex's own update
+//    writes it and its edges, and the WaitFlushed drain that ends each
+//    color-step (or bulk-sync superstep) keeps the previous window's
+//    pushes from landing in the next.
 //
 // Wire format of a ghost delta batch (columnar; handler kDataPushHandler):
 //
@@ -67,9 +73,7 @@
 #define GRAPHLAB_GRAPH_DISTRIBUTED_GRAPH_H_
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -85,13 +89,14 @@
 #include "graphlab/metrics/metrics.h"
 #include "graphlab/metrics/trace_event.h"
 #include "graphlab/rpc/comm_layer.h"
+#include "graphlab/util/dense_bitset.h"
 
 namespace graphlab {
 
 /// How FlushVertexScope() ships dirty ghost data (see file header).
 enum class GhostSyncMode {
   kPerScope,   // send immediately on every scope flush
-  kCoalesced,  // stage into per-peer buffers; FlushDeltas() ships windows
+  kCoalesced,  // stage one bit per entity; FlushDeltas() ships windows
 };
 
 /// Leading byte of every ghost push frame; bump when the layout changes.
@@ -118,10 +123,6 @@ class DistributedGraph {
 
   /// Handler id used for ghost data pushes.
   static constexpr rpc::HandlerId kDataPushHandler = rpc::kFirstUserHandler;
-
-  /// Default per-peer staging budget before a coalesced buffer
-  /// auto-flushes mid-window (bounds memory, pipelines the wire).
-  static constexpr size_t kDefaultGhostBatchBytes = 256 * 1024;
 
   DistributedGraph() = default;
 
@@ -314,18 +315,15 @@ class DistributedGraph {
 
   /// Selects how ghost pushes travel (see file header).  Engines set this
   /// at Start(): chromatic/bulk-sync use kCoalesced windows, the locking
-  /// engine requires kPerScope.  `max_batch_bytes` 0 means the default
-  /// budget.  Not thread safe against in-flight flushes — switch only
-  /// between runs; switching away from kCoalesced ships any staged
-  /// deltas first.
-  void SetGhostSyncMode(GhostSyncMode mode, size_t max_batch_bytes = 0) {
+  /// engine requires kPerScope.  Not thread safe against in-flight
+  /// flushes — switch only between runs; switching away from kCoalesced
+  /// ships any staged deltas first.
+  void SetGhostSyncMode(GhostSyncMode mode) {
     if (ghost_sync_mode_ == GhostSyncMode::kCoalesced &&
         mode != GhostSyncMode::kCoalesced) {
       FlushDeltas();
     }
     ghost_sync_mode_ = mode;
-    ghost_batch_bytes_ =
-        max_batch_bytes == 0 ? kDefaultGhostBatchBytes : max_batch_bytes;
   }
   GhostSyncMode ghost_sync_mode() const { return ghost_sync_mode_; }
 
@@ -334,88 +332,70 @@ class DistributedGraph {
   /// advanced are skipped (the paper's versioned cache coherence), and
   /// destinations with nothing changed get no frame at all.  In
   /// kPerScope mode the frames leave immediately (one per destination);
-  /// in kCoalesced mode the entities are staged into the per-peer send
-  /// buffers and leave at the next FlushDeltas() window (or when a
-  /// buffer overflows its byte budget).  Must be called while the caller
+  /// in kCoalesced mode each entity is staged as one bit and leaves at
+  /// the next FlushDeltas() window.  Must be called while the caller
   /// still holds exclusive rights to the scope (before lock release /
   /// within the color step).
   void FlushVertexScope(LocalVid l) {
     GL_CHECK(is_owned(l));
     const bool coalesce = ghost_sync_mode_ == GhostSyncMode::kCoalesced;
-    thread_local std::vector<std::pair<rpc::MachineId, DeltaFrame>> batches;
-    thread_local std::string blob;
-    if (!coalesce) batches.clear();
-    auto frame_for = [&](rpc::MachineId m) -> DeltaFrame& {
-      for (auto& [dst, frame] : batches) {
-        if (dst == m) return frame;
-      }
-      batches.emplace_back(m, DeltaFrame());
-      return batches.back().second;
-    };
-
+    thread_local std::vector<PeerIds> scope;
+    if (!coalesce && scope.size() < comm_->num_machines()) {
+      scope.resize(comm_->num_machines());
+    }
+    uint64_t sent = 0;
     if (vstore_.VersionOf(l) > vstore_.FlushedOf(l)) {
       auto mirrors = MirrorSpan(l);
       if (!mirrors.empty()) {
-        SerializeBlob(vstore_.DataOf(l), &blob);
-        const VertexId gvid = vstore_.GvidOf(l);
-        const uint64_t version = vstore_.VersionOf(l);
-        for (rpc::MachineId m : mirrors) {
-          if (coalesce) {
-            StageVertex(m, gvid, version, blob);
-          } else {
-            frame_for(m).AddVertex(gvid, version, blob);
-          }
+        if (coalesce) {
+          Stage(&staged_vertices_, l);
+        } else {
+          for (rpc::MachineId m : mirrors) scope[m].vids.push_back(l);
         }
-        pushes_sent_ += mirrors.size();
+        sent += mirrors.size();
       }
       vstore_.Flushed(l) = vstore_.VersionOf(l);
     } else {
-      pushes_skipped_++;
+      pushes_skipped_.Inc();
     }
     auto flush_edge = [&](LocalEid e) {
       if (estore_.VersionOf(e) <= estore_.FlushedOf(e)) return;
       rpc::MachineId other = EdgeMirror(e);
       if (other != me_) {
-        SerializeBlob(estore_.DataOf(e), &blob);
-        const uint64_t version = estore_.VersionOf(e);
         if (coalesce) {
-          StageEdge(other, Gvid(estore_.SrcOf(e)), Gvid(estore_.DstOf(e)),
-                    version, blob);
+          Stage(&staged_edges_, e);
         } else {
-          frame_for(other).AddEdge(Gvid(estore_.SrcOf(e)),
-                                   Gvid(estore_.DstOf(e)), version, blob);
+          scope[other].eids.push_back(e);
         }
-        pushes_sent_++;
+        ++sent;
       }
       estore_.Flushed(e) = estore_.VersionOf(e);
     };
     for (LocalEid e : in_edges(l)) flush_edge(e);
     for (LocalEid e : out_edges(l)) flush_edge(e);
-
-    if (!coalesce) {
-      for (auto& [dst, frame] : batches) {
-        if (!frame.empty()) {
-          OutArchive oa;
-          frame.Encode(&oa);
-          if (delta_batches_metric_ != nullptr) delta_batches_metric_->Inc();
-          comm_->Send(me_, dst, kDataPushHandler, std::move(oa));
-          frame.Clear();
-        }
-      }
-    }
+    if (sent == 0) return;
+    pushes_sent_.Inc(sent);
+    if (!coalesce) ShipFrames(&scope);
   }
 
-  /// Ships every staged coalesced delta, one framed batch per peer with
-  /// anything pending.  Engines call this at window boundaries (end of a
-  /// color-step / superstep, before the communication barrier).  No-op
-  /// for peers with empty buffers and in kPerScope mode.
+  /// Closes the coalescing window: clears the staged bits and ships one
+  /// framed batch per peer with anything staged, encoded from the
+  /// columns as they are now.  Engines call this at window boundaries
+  /// (end of a color-step / superstep, before the communication
+  /// barrier).  No-op when nothing is staged.
   void FlushDeltas() {
     GL_TRACE_SCOPE(trace::kRpc, "graph.flush_deltas");
-    for (rpc::MachineId m = 0; m < stages_.size(); ++m) {
-      PeerStage& st = *stages_[m];
-      std::lock_guard<std::mutex> lock(st.mutex);
-      FlushStageLocked(m, &st);
-    }
+    std::lock_guard<std::mutex> lock(window_mutex_);
+    staged_vertices_.DrainSetBits([this](size_t l) {
+      for (rpc::MachineId m : MirrorSpan(static_cast<LocalVid>(l))) {
+        window_[m].vids.push_back(static_cast<LocalVid>(l));
+      }
+    });
+    staged_edges_.DrainSetBits([this](size_t e) {
+      window_[EdgeMirror(static_cast<LocalEid>(e))].eids.push_back(
+          static_cast<LocalEid>(e));
+    });
+    ShipFrames(&window_);
   }
 
   /// Bulk variant used by the synchronous (MPI-style) baseline: stages
@@ -424,44 +404,35 @@ class DistributedGraph {
   /// (the MPI_Alltoall analogue).  Edges are not exchanged (synchronous
   /// kernels keep mutable state on vertices).
   void FlushAllOwnedBulk() {
-    std::string blob;
+    uint64_t sent = 0, skipped = 0;
     for (LocalVid l : owned_) {
       if (vstore_.VersionOf(l) <= vstore_.FlushedOf(l)) {
-        pushes_skipped_++;
+        ++skipped;
         continue;
       }
-      auto mirrors = MirrorSpan(l);
-      if (!mirrors.empty()) {
-        SerializeBlob(vstore_.DataOf(l), &blob);
-        const VertexId gvid = vstore_.GvidOf(l);
-        const uint64_t version = vstore_.VersionOf(l);
-        for (rpc::MachineId m : mirrors) {
-          StageVertex(m, gvid, version, blob);
-          pushes_sent_++;
-        }
+      const size_t mirrors = MirrorSpan(l).size();
+      if (mirrors != 0) {
+        Stage(&staged_vertices_, l);
+        sent += mirrors;
       }
       vstore_.Flushed(l) = vstore_.VersionOf(l);
     }
+    pushes_sent_.Inc(sent);
+    pushes_skipped_.Inc(skipped);
     FlushDeltas();
   }
 
-  /// Versioning-ablation counters.
-  uint64_t pushes_sent() const { return pushes_sent_; }
-  uint64_t pushes_skipped() const { return pushes_skipped_; }
+  /// Versioning-ablation counters: replica pushes made, and scope flushes
+  /// whose vertex had not changed.
+  uint64_t pushes_sent() const { return pushes_sent_.Value(); }
+  uint64_t pushes_skipped() const { return pushes_skipped_.Value(); }
 
   /// Coalescing instrumentation: framed batches shipped, and staged
-  /// writes that merged into an existing entry (re-writes within a flush
-  /// window that per-scope mode would have transmitted separately).
-  uint64_t delta_batches_sent() const {
-    return delta_batches_metric_ == nullptr
-               ? 0
-               : delta_batches_metric_->Value() - delta_batches_base_;
-  }
-  uint64_t coalesced_merges() const {
-    return coalesced_merges_metric_ == nullptr
-               ? 0
-               : coalesced_merges_metric_->Value() - coalesced_merges_base_;
-  }
+  /// writes that merged into an already-staged entity (re-writes within
+  /// a flush window that per-scope mode would have transmitted
+  /// separately).
+  uint64_t delta_batches_sent() const { return delta_batches_.Value(); }
+  uint64_t coalesced_merges() const { return coalesced_merges_.Value(); }
 
   /// Registers callbacks fired (from the comm dispatch thread) whenever a
   /// coherence push actually overwrites a local replica — the hook layers
@@ -591,66 +562,26 @@ class DistributedGraph {
   // Ghost delta frames (see the wire-format comment in the file header)
   // --------------------------------------------------------------------
 
-  /// Column-oriented frame contents: entity keys and versions in flat
-  /// columns, pre-serialized data blobs appended in entity order.
-  struct DeltaFrame {
-    std::vector<VertexId> vgvid;
-    std::vector<uint64_t> vversion;
-    std::vector<std::string> vblob;
-    std::vector<VertexId> esrc, edst;
-    std::vector<uint64_t> eversion;
-    std::vector<std::string> eblob;
-
-    bool empty() const { return vgvid.empty() && esrc.empty(); }
-    size_t ApproxBytes() const {
-      size_t b = vgvid.size() * 12 + esrc.size() * 16;
-      for (const auto& s : vblob) b += s.size();
-      for (const auto& s : eblob) b += s.size();
-      return b;
-    }
-    void Clear() {
-      vgvid.clear();
-      vversion.clear();
-      vblob.clear();
-      esrc.clear();
-      edst.clear();
-      eversion.clear();
-      eblob.clear();
-    }
-    void AddVertex(VertexId gvid, uint64_t version, const std::string& blob) {
-      vgvid.push_back(gvid);
-      vversion.push_back(version);
-      vblob.push_back(blob);
-    }
-    void AddEdge(VertexId src, VertexId dst, uint64_t version,
-                 const std::string& blob) {
-      esrc.push_back(src);
-      edst.push_back(dst);
-      eversion.push_back(version);
-      eblob.push_back(blob);
-    }
-    void Encode(OutArchive* oa) const {
-      *oa << kGhostFrameVersion;
-      *oa << static_cast<uint32_t>(vgvid.size());
-      for (VertexId v : vgvid) *oa << v;
-      for (uint64_t v : vversion) *oa << v;
-      for (const auto& b : vblob) oa->WriteBytes(b.data(), b.size());
-      *oa << static_cast<uint32_t>(esrc.size());
-      for (VertexId v : esrc) *oa << v;
-      for (VertexId v : edst) *oa << v;
-      for (uint64_t v : eversion) *oa << v;
-      for (const auto& b : eblob) oa->WriteBytes(b.data(), b.size());
-    }
+  /// The entities one frame to one peer carries.
+  struct PeerIds {
+    std::vector<LocalVid> vids;
+    std::vector<LocalEid> eids;
   };
 
-  /// Per-peer coalescing buffer: a DeltaFrame plus slot maps so repeated
-  /// writes to the same entity within a window replace in place.
-  struct PeerStage {
-    std::mutex mutex;
-    DeltaFrame frame;
-    std::unordered_map<VertexId, size_t> vslot;
-    std::unordered_map<uint64_t, size_t> eslot;
-    size_t approx_bytes = 0;
+  /// A registry counter read per graph instance: every graph on a machine
+  /// shares the machine's registry, so reads subtract the value at bind.
+  struct InstanceCounter {
+    metrics::Counter* counter = nullptr;
+    uint64_t base = 0;
+
+    void Bind(metrics::MetricsRegistry& reg, const std::string& name) {
+      counter = reg.counter(name);
+      base = counter->Value();
+    }
+    void Inc(uint64_t n = 1) { counter->Inc(n); }
+    uint64_t Value() const {
+      return counter == nullptr ? 0 : counter->Value() - base;
+    }
   };
 
   template <typename T>
@@ -667,62 +598,33 @@ class DistributedGraph {
     return ia.ok();
   }
 
-  template <typename T>
-  static void SerializeBlob(const T& value, std::string* out) {
-    thread_local OutArchive scratch;
-    scratch.Clear();
-    scratch << value;
-    out->assign(scratch.buffer().data(), scratch.size());
+  /// Marks an entity staged for the current window; a second write within
+  /// the window only merges.
+  void Stage(DenseBitset* staged, size_t i) {
+    if (!staged->SetBit(i)) coalesced_merges_.Inc();
   }
 
-  void StageVertex(rpc::MachineId dst, VertexId gvid, uint64_t version,
-                   const std::string& blob) {
-    PeerStage& st = *stages_[dst];
-    std::lock_guard<std::mutex> lock(st.mutex);
-    auto [it, inserted] = st.vslot.try_emplace(gvid, st.frame.vgvid.size());
-    if (inserted) {
-      st.frame.AddVertex(gvid, version, blob);
-      st.approx_bytes += 12 + blob.size();
-    } else {
-      DeltaFrame& f = st.frame;
-      st.approx_bytes += blob.size() - f.vblob[it->second].size();
-      f.vversion[it->second] = version;
-      f.vblob[it->second] = blob;
-      if (coalesced_merges_metric_ != nullptr) coalesced_merges_metric_->Inc();
+  /// Encodes and sends one frame per peer with anything listed, straight
+  /// from the key, version and data columns, then empties the lists.
+  void ShipFrames(std::vector<PeerIds>* peers) {
+    for (rpc::MachineId m = 0; m < peers->size(); ++m) {
+      PeerIds& p = (*peers)[m];
+      if (p.vids.empty() && p.eids.empty()) continue;
+      OutArchive oa;
+      oa << kGhostFrameVersion << static_cast<uint32_t>(p.vids.size());
+      for (LocalVid l : p.vids) oa << vstore_.GvidOf(l);
+      for (LocalVid l : p.vids) oa << vstore_.VersionOf(l);
+      for (LocalVid l : p.vids) oa << vstore_.DataOf(l);
+      oa << static_cast<uint32_t>(p.eids.size());
+      for (LocalEid e : p.eids) oa << Gvid(estore_.SrcOf(e));
+      for (LocalEid e : p.eids) oa << Gvid(estore_.DstOf(e));
+      for (LocalEid e : p.eids) oa << estore_.VersionOf(e);
+      for (LocalEid e : p.eids) oa << estore_.DataOf(e);
+      p.vids.clear();
+      p.eids.clear();
+      delta_batches_.Inc();
+      comm_->Send(me_, m, kDataPushHandler, std::move(oa));
     }
-    if (st.approx_bytes >= ghost_batch_bytes_) FlushStageLocked(dst, &st);
-  }
-
-  void StageEdge(rpc::MachineId dst, VertexId gsrc, VertexId gdst,
-                 uint64_t version, const std::string& blob) {
-    PeerStage& st = *stages_[dst];
-    std::lock_guard<std::mutex> lock(st.mutex);
-    auto [it, inserted] =
-        st.eslot.try_emplace(EdgeKey(gsrc, gdst), st.frame.esrc.size());
-    if (inserted) {
-      st.frame.AddEdge(gsrc, gdst, version, blob);
-      st.approx_bytes += 16 + blob.size();
-    } else {
-      DeltaFrame& f = st.frame;
-      st.approx_bytes += blob.size() - f.eblob[it->second].size();
-      f.eversion[it->second] = version;
-      f.eblob[it->second] = blob;
-      if (coalesced_merges_metric_ != nullptr) coalesced_merges_metric_->Inc();
-    }
-    if (st.approx_bytes >= ghost_batch_bytes_) FlushStageLocked(dst, &st);
-  }
-
-  /// Encodes and ships one peer's staged frame.  Caller holds st->mutex.
-  void FlushStageLocked(rpc::MachineId dst, PeerStage* st) {
-    if (st->frame.empty()) return;
-    OutArchive oa;
-    st->frame.Encode(&oa);
-    st->frame.Clear();
-    st->vslot.clear();
-    st->eslot.clear();
-    st->approx_bytes = 0;
-    if (delta_batches_metric_ != nullptr) delta_batches_metric_->Inc();
-    comm_->Send(me_, dst, kDataPushHandler, std::move(oa));
   }
 
   /// Machines holding a ghost of owned vertex l.
@@ -798,19 +700,14 @@ class DistributedGraph {
 
     BuildAdjacency();
     BuildMirrors();
-    stages_.clear();
-    for (size_t m = 0; m < comm_->num_machines(); ++m) {
-      stages_.push_back(std::make_unique<PeerStage>());
-    }
-    // Bind the coalescing counters to this machine's registry.  The
-    // registry outlives and is shared across graph instances on the same
-    // machine, so the per-instance accessors below subtract the value at
-    // bind time.
+    staged_vertices_.Resize(vstore_.size());
+    staged_edges_.Resize(estore_.size());
+    window_.assign(comm_->num_machines(), PeerIds());
     metrics::MetricsRegistry& reg = comm_->registry(me_);
-    delta_batches_metric_ = reg.counter("graph.delta_batches_sent");
-    coalesced_merges_metric_ = reg.counter("graph.coalesced_merges");
-    delta_batches_base_ = delta_batches_metric_->Value();
-    coalesced_merges_base_ = coalesced_merges_metric_->Value();
+    pushes_sent_.Bind(reg, "graph.pushes_sent");
+    pushes_skipped_.Bind(reg, "graph.pushes_skipped");
+    delta_batches_.Bind(reg, "graph.delta_batches_sent");
+    coalesced_merges_.Bind(reg, "graph.coalesced_merges");
     RegisterHandler();
     return Status::OK();
   }
@@ -913,19 +810,18 @@ class DistributedGraph {
   std::vector<uint64_t> mirror_index_, scope_machines_index_;
   std::vector<rpc::MachineId> mirror_list_, scope_machines_list_;
 
-  std::atomic<uint64_t> pushes_sent_{0};
-  std::atomic<uint64_t> pushes_skipped_{0};
-
   GhostSyncMode ghost_sync_mode_ = GhostSyncMode::kPerScope;
-  size_t ghost_batch_bytes_ = kDefaultGhostBatchBytes;
-  std::vector<std::unique_ptr<PeerStage>> stages_;
-  // Registry-backed coalescing counters (null until Ingest binds them);
-  // the bases let accessors report per-instance counts off the shared
-  // per-machine registry.
-  metrics::Counter* delta_batches_metric_ = nullptr;
-  metrics::Counter* coalesced_merges_metric_ = nullptr;
-  uint64_t delta_batches_base_ = 0;
-  uint64_t coalesced_merges_base_ = 0;
+  // The coalescing window: entities staged since the last FlushDeltas(),
+  // and its per-peer frame lists (kept for their capacity).
+  DenseBitset staged_vertices_;
+  DenseBitset staged_edges_;
+  std::mutex window_mutex_;
+  std::vector<PeerIds> window_;
+  // Registry-backed counters (unbound, reading 0, until Ingest).
+  InstanceCounter pushes_sent_;
+  InstanceCounter pushes_skipped_;
+  InstanceCounter delta_batches_;
+  InstanceCounter coalesced_merges_;
 
   // Coherence listener (set before Start(); fired from the dispatch
   // thread while it holds no graph locks).

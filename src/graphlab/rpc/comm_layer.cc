@@ -1,5 +1,6 @@
 #include "graphlab/rpc/comm_layer.h"
 
+#include "graphlab/metrics/metrics.h"
 #include "graphlab/rpc/inproc_transport.h"
 #include "graphlab/util/logging.h"
 
@@ -84,8 +85,12 @@ void CommLayer::Deliver(MachineId dst, MachineId src, HandlerId id,
     }
   }
   if (reg == nullptr) {
-    GL_LOG(ERROR) << "machine " << dst << ": no handler for id " << id
-                  << " (from " << src << ")";
+    // Expected after a recovery (late frames of an aborted attempt whose
+    // handlers are gone), so count every drop and log only a sample.
+    registry(dst).counter("rpc.frames_dropped_no_handler")->Inc();
+    GL_LOG_EVERY_N(WARNING, 100)
+        << "machine " << dst << ": no handler for id " << id << " (from "
+        << src << "); dropping (rpc.frames_dropped_no_handler)";
     return;
   }
   reg->fn(src, ia);

@@ -74,7 +74,8 @@ class CommLayer {
   /// Drops `registration` of (machine, id) unless a later registration
   /// replaced it, and returns once no dispatch is running it, so an
   /// object whose handler captures `this` can be destroyed right after.
-  /// Frames that arrive later are logged and dropped.  Must not be called
+  /// Frames that arrive later are dropped and counted in the receiving
+  /// machine's rpc.frames_dropped_no_handler.  Must not be called
   /// from a handler on `machine`.
   void UnregisterHandler(MachineId machine, HandlerId id,
                          uint64_t registration);

@@ -1,13 +1,15 @@
 // Copyright 2026 The Distributed GraphLab Reproduction Authors.
 //
 // A fixed-size bitset with atomic set/test-and-set, used by schedulers for
-// the "T is a set: duplicate vertices are ignored" semantics (Alg. 2) and by
-// the snapshot algorithm to mark snapshotted vertices.
+// the "T is a set: duplicate vertices are ignored" semantics (Alg. 2), by
+// the snapshot algorithm to mark snapshotted vertices, and by the engines
+// and the distributed graph to stage ghost signals and deltas per window.
 
 #ifndef GRAPHLAB_UTIL_DENSE_BITSET_H_
 #define GRAPHLAB_UTIL_DENSE_BITSET_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -54,6 +56,19 @@ class DenseBitset {
     uint64_t mask = uint64_t{1} << (i & 63);
     uint64_t old = words_[i >> 6].fetch_and(~mask, std::memory_order_acq_rel);
     return (old & mask) != 0;
+  }
+
+  /// Clears every set bit, calling fn(i) for each in ascending order.  A
+  /// bit set concurrently is either visited now or left set.
+  template <typename Fn>
+  void DrainSetBits(Fn fn) {
+    for (size_t w = 0; w < words_.size(); ++w) {
+      if (words_[w].load(std::memory_order_relaxed) == 0) continue;
+      uint64_t bits = words_[w].exchange(0, std::memory_order_acq_rel);
+      for (; bits != 0; bits &= bits - 1) {
+        fn((w << 6) + static_cast<size_t>(std::countr_zero(bits)));
+      }
+    }
   }
 
   /// Number of set bits (not atomic with respect to concurrent writers).

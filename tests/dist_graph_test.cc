@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <thread>
 
 #include "graphlab/graph/atom.h"
 #include "graphlab/graph/coloring.h"
@@ -45,6 +46,15 @@ LGraph PathGraph(size_t n) {
   }
   g.Finalize();
   return g;
+}
+
+/// Messages machine `me` has sent to each peer so far.
+std::vector<uint64_t> SentPerPeer(rpc::MachineContext& ctx) {
+  std::vector<uint64_t> sent(ctx.comm().num_machines(), 0);
+  for (const rpc::PeerCommStats& p : ctx.comm().GetPeerStats(ctx.id)) {
+    sent[p.peer] = p.messages_sent;
+  }
+  return sent;
 }
 
 class DistributedGraphTest
@@ -237,6 +247,151 @@ TEST_P(DistributedGraphTest, CoalescedWindowMergesRepeatedWrites) {
     if (ctx.id == 1) {
       // The peer observes only the final merged value.
       EXPECT_EQ(graphs[1].vertex_data(graphs[1].Lvid(3)).x, 30.0);
+    }
+  });
+}
+
+// Coalesced mode across three machines: a vertex mirrored on two peers
+// and a modified cross-machine edge, written repeatedly in one window,
+// reach each peer in exactly one frame with their final values and
+// versions.
+TEST_P(DistributedGraphTest, ThreeMachineWindowShipsOneFramePerPeer) {
+  // Star 1 <- 0 -> 2, one vertex per machine: vertex 0's ghosts live on
+  // machines 1 and 2, and edge 0->1 is replicated on machine 1.
+  LGraph g;
+  for (int i = 0; i < 3; ++i) g.AddVertex({static_cast<double>(i), 0});
+  g.AddEdge(0, 1, {0.0});
+  g.AddEdge(0, 2, {1.0});
+  g.Finalize();
+  auto atom_of = BlockPartition(3, 3);
+  auto colors = GreedyColoring(g.Structure());
+  std::vector<rpc::MachineId> placement = {0, 1, 2};
+
+  rpc::Runtime runtime(TestCluster(3));
+  std::vector<DGraph> graphs(3);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    ASSERT_TRUE(graphs[ctx.id]
+                    .InitFromGlobal(g, atom_of, colors, placement, ctx.id,
+                                    &ctx.comm())
+                    .ok());
+    ctx.barrier().Wait(ctx.id);
+    if (ctx.id == 0) {
+      DGraph& m0 = graphs[0];
+      m0.SetGhostSyncMode(GhostSyncMode::kCoalesced);
+      const std::vector<uint64_t> before = SentPerPeer(ctx);
+      const LocalVid l = m0.Lvid(0);
+      const LocalEid e01 = m0.LeidOf(0, 1);
+      for (double v : {10.0, 20.0, 30.0}) {
+        m0.vertex_data(l).x = v;
+        m0.MarkVertexModified(l);
+        if (v != 20.0) {
+          m0.edge_data(e01).w = v + 1;
+          m0.MarkEdgeModified(e01);
+        }
+        m0.FlushVertexScope(l);
+      }
+      m0.FlushVertexScope(l);  // unchanged since: skipped, not merged
+      EXPECT_EQ(SentPerPeer(ctx), before)
+          << "staged writes left before the window closed";
+      EXPECT_EQ(m0.coalesced_merges(), 3u);  // vertex twice, edge once
+      EXPECT_EQ(m0.pushes_sent(), 2u * 3 + 2);  // 2 mirrors x 3, edge x 2
+      EXPECT_EQ(m0.pushes_skipped(), 1u);
+      m0.FlushDeltas();
+      const std::vector<uint64_t> after = SentPerPeer(ctx);
+      EXPECT_EQ(after[1], before[1] + 1);
+      EXPECT_EQ(after[2], before[2] + 1);
+      EXPECT_EQ(m0.delta_batches_sent(), 2u);
+      m0.FlushDeltas();  // an empty window ships nothing
+      EXPECT_EQ(SentPerPeer(ctx), after);
+      m0.SetGhostSyncMode(GhostSyncMode::kPerScope);
+    }
+    ctx.barrier().Wait(ctx.id);
+    ctx.comm().WaitQuiescent();
+    ctx.barrier().Wait(ctx.id);
+    if (ctx.id != 0) {
+      DGraph& peer = graphs[ctx.id];
+      const LocalVid ghost = peer.Lvid(0);
+      EXPECT_EQ(peer.vertex_data(ghost).x, 30.0);
+      EXPECT_EQ(peer.vertex_version(ghost), 3u);
+      const LocalEid e = peer.LeidOf(0, ctx.id);
+      EXPECT_EQ(peer.edge_data(e).w, ctx.id == 1 ? 31.0 : 1.0);
+      EXPECT_EQ(peer.edge_version(e), ctx.id == 1 ? 2u : 0u);
+    }
+  });
+}
+
+// Coalesced staging from several threads at once, as the chromatic
+// engine's batch workers do within a color-step: each thread writes and
+// flushes its own share of one color class (so no two threads share a
+// scope), then the window closes once.  Every replica must end up equal
+// to its owner's copy.
+TEST_P(DistributedGraphTest, ConcurrentStagersShipEveryGhost) {
+  constexpr size_t kVertices = 256;
+  constexpr size_t kThreads = 4;
+  LGraph g = PathGraph(kVertices);
+  auto atom_of = RandomPartition(kVertices, 2, 7);
+  auto colors = GreedyColoring(g.Structure());
+  std::vector<rpc::MachineId> placement = {0, 1};
+  auto expected_x = [&](VertexId v) {
+    return colors[v] == 0 ? 1000.0 + v : static_cast<double>(v);
+  };
+  auto expected_w = [&](VertexId s, VertexId d) {
+    if (colors[s] == 0) return 5000.0 + s;
+    if (colors[d] == 0) return 5000.0 + d;
+    return static_cast<double>(s);  // PathGraph: edge s->s+1 has w = s
+  };
+
+  rpc::Runtime runtime(TestCluster(2));
+  std::vector<DGraph> graphs(2);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    DGraph& dg = graphs[ctx.id];
+    ASSERT_TRUE(
+        dg.InitFromGlobal(g, atom_of, colors, placement, ctx.id, &ctx.comm())
+            .ok());
+    ctx.barrier().Wait(ctx.id);
+    dg.SetGhostSyncMode(GhostSyncMode::kCoalesced);
+    std::vector<LocalVid> step;  // this machine's color-0 vertices
+    for (LocalVid l : dg.owned_vertices()) {
+      if (dg.color(l) == 0) step.push_back(l);
+    }
+    std::vector<std::thread> stagers;
+    for (size_t t = 0; t < kThreads; ++t) {
+      stagers.emplace_back([&, t] {
+        for (size_t i = t; i < step.size(); i += kThreads) {
+          const LocalVid l = step[i];
+          const VertexId gv = dg.Gvid(l);
+          dg.vertex_data(l).x = expected_x(gv);
+          dg.MarkVertexModified(l);
+          for (auto edges : {dg.in_edges(l), dg.out_edges(l)}) {
+            for (LocalEid e : edges) {
+              dg.edge_data(e).w = 5000.0 + gv;
+              dg.MarkEdgeModified(e);
+            }
+          }
+          dg.FlushVertexScope(l);
+        }
+      });
+    }
+    for (std::thread& t : stagers) t.join();
+    dg.FlushDeltas();
+    EXPECT_EQ(dg.delta_batches_sent(), 1u) << "one frame to the one peer";
+    EXPECT_EQ(dg.coalesced_merges(), 0u);
+    dg.SetGhostSyncMode(GhostSyncMode::kPerScope);
+    ctx.barrier().Wait(ctx.id);
+    ctx.comm().WaitQuiescent();
+    ctx.barrier().Wait(ctx.id);
+    size_t ghosts = 0;
+    for (LocalVid l = 0; l < dg.num_local_vertices(); ++l) {
+      const VertexId gv = dg.Gvid(l);
+      EXPECT_EQ(dg.vertex_data(l).x, expected_x(gv)) << "vertex " << gv;
+      EXPECT_EQ(dg.vertex_version(l), colors[gv] == 0 ? 1u : 0u);
+      ghosts += dg.is_owned(l) ? 0 : 1;
+    }
+    EXPECT_GT(ghosts, 0u);
+    for (LocalEid e = 0; e < dg.num_local_edges(); ++e) {
+      const VertexId s = dg.Gvid(dg.edge_source(e));
+      const VertexId d = dg.Gvid(dg.edge_target(e));
+      EXPECT_EQ(dg.edge_data(e).w, expected_w(s, d)) << s << "->" << d;
     }
   });
 }
@@ -434,6 +589,58 @@ TEST_P(DistributedGraphTest, BulkFlushSynchronizesAllBoundaries) {
       VertexId gv = graphs[ctx.id].Gvid(l);
       EXPECT_EQ(graphs[ctx.id].vertex_data(l).x,
                 static_cast<double>(gv) + 100.0);
+    }
+    // One frame per neighbouring block; a pass with nothing modified
+    // skips every owned vertex and sends nothing.
+    const bool end_block = ctx.id == 0 || ctx.id == 3;
+    EXPECT_EQ(graphs[ctx.id].delta_batches_sent(), end_block ? 1u : 2u);
+    EXPECT_EQ(graphs[ctx.id].pushes_sent(), end_block ? 1u : 2u);
+    const std::vector<uint64_t> sent = SentPerPeer(ctx);
+    graphs[ctx.id].FlushAllOwnedBulk();
+    EXPECT_EQ(SentPerPeer(ctx), sent);
+    EXPECT_EQ(graphs[ctx.id].pushes_skipped(), 4u);
+  });
+}
+
+// The bulk pass closes the same window as FlushDeltas(): entities staged
+// earlier by scope flushes ride in the bulk frame.
+TEST_P(DistributedGraphTest, BulkFlushShipsStagedEntitiesInOneFrame) {
+  LGraph g = PathGraph(8);
+  auto atom_of = BlockPartition(8, 2);
+  auto colors = GreedyColoring(g.Structure());
+  std::vector<rpc::MachineId> placement = {0, 1};
+  rpc::Runtime runtime(TestCluster(2));
+  std::vector<DGraph> graphs(2);
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    ASSERT_TRUE(graphs[ctx.id]
+                    .InitFromGlobal(g, atom_of, colors, placement, ctx.id,
+                                    &ctx.comm())
+                    .ok());
+    ctx.barrier().Wait(ctx.id);
+    if (ctx.id == 0) {
+      DGraph& m0 = graphs[0];
+      m0.SetGhostSyncMode(GhostSyncMode::kCoalesced);
+      const LocalEid e34 = m0.LeidOf(3, 4);
+      m0.edge_data(e34).w = 34.0;
+      m0.MarkEdgeModified(e34);
+      m0.FlushVertexScope(m0.Lvid(3));  // stages the edge only
+      for (LocalVid l : m0.owned_vertices()) {
+        m0.vertex_data(l).x += 100.0;
+        m0.MarkVertexModified(l);
+      }
+      const std::vector<uint64_t> before = SentPerPeer(ctx);
+      m0.FlushAllOwnedBulk();
+      EXPECT_EQ(SentPerPeer(ctx)[1], before[1] + 1);
+      EXPECT_EQ(m0.delta_batches_sent(), 1u);
+      EXPECT_EQ(m0.pushes_sent(), 2u);  // edge 3-4 and vertex 3
+      m0.SetGhostSyncMode(GhostSyncMode::kPerScope);
+    }
+    ctx.barrier().Wait(ctx.id);
+    ctx.comm().WaitQuiescent();
+    ctx.barrier().Wait(ctx.id);
+    if (ctx.id == 1) {
+      EXPECT_EQ(graphs[1].vertex_data(graphs[1].Lvid(3)).x, 103.0);
+      EXPECT_EQ(graphs[1].edge_data(graphs[1].LeidOf(3, 4)).w, 34.0);
     }
   });
 }

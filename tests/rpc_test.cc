@@ -707,6 +707,47 @@ INSTANTIATE_TEST_SUITE_P(Transports, WaitFlushedTest,
                          graphlab::testutil::KindParamName);
 
 // ---------------------------------------------------------------------
+// Frames for a handler that does not exist, over both transports
+// ---------------------------------------------------------------------
+
+class UnregisteredHandlerTest : public ::testing::TestWithParam<TransportKind> {
+};
+
+TEST_P(UnregisteredHandlerTest, FrameIsCountedAndDropped) {
+  constexpr HandlerId kNobody = 250;  // registered on no machine
+  Runtime runtime(graphlab::testutil::ClusterFor(GetParam(), 2));
+  std::atomic<int> handled{0};
+  runtime.Run([&](MachineContext& ctx) {
+    ctx.comm().RegisterHandler(ctx.id, kFlushTestHandler,
+                               [&](MachineId, InArchive&) {
+                                 handled.fetch_add(1);
+                               });
+    ASSERT_TRUE(ctx.barrier().Wait(ctx.id));
+    if (ctx.id == 0) {
+      ctx.comm().Send(0, 1, kNobody, OutArchive());
+      // Same FIFO channel: once this one is handled, the drop is done.
+      ctx.comm().Send(0, 1, kFlushTestHandler, OutArchive());
+    } else {
+      Timer timer;
+      while (handled.load() == 0 && timer.Seconds() < 10) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(handled.load(), 1);
+      EXPECT_EQ(ctx.comm()
+                    .registry(1)
+                    .counter("rpc.frames_dropped_no_handler")
+                    ->Value(),
+                1u);
+    }
+    ASSERT_TRUE(ctx.barrier().Wait(ctx.id));
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, UnregisteredHandlerTest,
+                         ::testing::ValuesIn(graphlab::testutil::kAllTransports),
+                         graphlab::testutil::KindParamName);
+
+// ---------------------------------------------------------------------
 // Termination detection
 // ---------------------------------------------------------------------
 
