@@ -1,16 +1,16 @@
 // Measures what the GAS abstraction costs over a handwritten update
-// function, and what the gather delta cache refunds.
+// function.
 //
-//  E1  PageRank: classic update fn vs compiled GAS program (cache off /
-//      on) — per-update CPU cost and total update count to convergence,
-//      plus cache hit rate and delta traffic.  PageRank's gather is one
-//      multiply-add per in-edge, so this is the worst case for GAS
-//      dispatch overhead and a mild case for the cache.
-//  E2  Loopy BP (K states): the gather folds K-vector message products,
-//      so a cache hit saves real work; reports the same table.
-//  E3  Cache hit rate vs re-execution pressure: dynamic PageRank at
-//      decreasing tolerances (more re-executions per vertex) to show the
-//      hit rate climbing as vertices re-run against unchanged regions.
+//  E1  PageRank: classic update fn vs compiled GAS program — per-update
+//      CPU cost and total update count to convergence.  PageRank's gather
+//      is one multiply-add per in-edge, so this is the worst case for GAS
+//      dispatch overhead.
+//  E2  Loopy BP (K states): the gather folds K-vector message products;
+//      same table.
+//
+// Each variant runs kReps times, the variants alternating within a rep so
+// slow drift on the host hits both alike.  The table reports the median
+// and interquartile range of µs/update (busy CPU per update) across reps.
 //
 // Usage: ./bench_gas_overhead [--vertices=20000] [--threads=2]
 //                             [--engine=shared_memory] [--out=FILE]
@@ -19,8 +19,11 @@
 // Emits BENCH_gas.json (the gas-overhead perf trajectory artifact the
 // bench-smoke CI job validates and uploads).
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "bench_json.h"
@@ -33,126 +36,109 @@
 namespace graphlab {
 namespace {
 
+constexpr int kReps = 5;
+
 /// Machine-readable mirror of the console tables (BENCH_gas.json).
 bench::JsonWriter* g_json = nullptr;
 
-struct Row {
-  const char* variant;
-  RunResult run;
-  GasStats gas;     // zeroed for the classic row
-  bool has_gas = false;
-};
-
-void PrintRow(const std::string& experiment, const Row& r) {
-  const double us_per_update =
-      r.run.updates == 0 ? 0.0 : 1e6 * r.run.busy_seconds / r.run.updates;
-  std::printf("%-22s %10llu %9.3f %12.3f", r.variant,
-              static_cast<unsigned long long>(r.run.updates), r.run.seconds,
-              us_per_update);
-  if (r.has_gas) {
-    std::printf(" %9.1f%% %12llu\n", 100.0 * r.gas.cache_hit_rate(),
-                static_cast<unsigned long long>(r.gas.cache.deltas_applied));
-  } else {
-    std::printf(" %10s %12s\n", "-", "-");
-  }
-  auto& row = g_json->AddRow();
-  row.Set("experiment", experiment)
-      .Set("variant", r.variant)
-      .Set("updates", r.run.updates)
-      .Set("wall_s", r.run.seconds)
-      .Set("us_per_update", us_per_update);
-  if (r.has_gas) {
-    row.Set("hit_rate", r.gas.cache_hit_rate())
-        .Set("deltas", r.gas.cache.deltas_applied);
-  }
+/// Linear-interpolation quantile of an ascending-sorted sample.
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
 }
 
-void PrintTableHeader() {
-  std::printf("%-22s %10s %9s %12s %10s %12s\n", "variant", "updates",
-              "wall_s", "us/update", "hit_rate", "deltas");
+/// One measured variant: a name and a run to convergence.
+struct Variant {
+  const char* name;
+  std::function<RunResult()> run;
+};
+
+void RunAndReport(const std::string& experiment,
+                  const std::vector<Variant>& variants) {
+  // Per variant: µs/update and update count, one sample per rep.
+  std::vector<std::vector<double>> us(variants.size());
+  std::vector<std::vector<double>> updates(variants.size());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t i = 0; i < variants.size(); ++i) {
+      const RunResult r = variants[i].run();
+      us[i].push_back(r.updates == 0 ? 0.0
+                                     : 1e6 * r.busy_seconds / r.updates);
+      updates[i].push_back(static_cast<double>(r.updates));
+    }
+  }
+  std::printf("%-20s %12s %12s %12s %12s\n", "variant", "updates_p50",
+              "us/upd_p50", "us/upd_p25", "us/upd_p75");
+  for (size_t i = 0; i < variants.size(); ++i) {
+    std::sort(us[i].begin(), us[i].end());
+    std::sort(updates[i].begin(), updates[i].end());
+    const double p25 = Quantile(us[i], 0.25);
+    const double p50 = Quantile(us[i], 0.50);
+    const double p75 = Quantile(us[i], 0.75);
+    const double updates_p50 = Quantile(updates[i], 0.50);
+    std::printf("%-20s %12.0f %12.3f %12.3f %12.3f\n", variants[i].name,
+                updates_p50, p50, p25, p75);
+    g_json->AddRow()
+        .Set("experiment", experiment)
+        .Set("variant", variants[i].name)
+        .Set("reps", kReps)
+        .Set("updates_p50", updates_p50)
+        .Set("us_per_update_p50", p50)
+        .Set("us_per_update_iqr", p75 - p25);
+  }
 }
 
 void E1PageRank(uint64_t n, size_t threads, const std::string& engine) {
   bench::PrintHeader("GAS overhead, PageRank (engine=" + engine + ")");
-  auto web = gen::PowerLawWeb(n, 8, 0.85, 1);
+  const auto web = gen::PowerLawWeb(n, 8, 0.85, 1);
   EngineOptions eo;
   eo.num_threads = threads;
-  PrintTableHeader();
-
-  {
-    auto g = apps::BuildPageRankGraph(web);
-    auto r = apps::SolvePageRank(&g, engine, eo, 0.85, 1e-6);
-    GL_CHECK_OK(r.status());
-    PrintRow("pagerank", {"classic update fn", r.value(), {}, false});
-  }
-  for (bool cache : {false, true}) {
-    auto g = apps::BuildPageRankGraph(web);
-    EngineOptions gas_eo = eo;
-    gas_eo.gather_cache = cache;
-    GasStats stats;
-    auto r = apps::SolveGasPageRank(&g, engine, gas_eo, 0.85, 1e-6, &stats);
-    GL_CHECK_OK(r.status());
-    PrintRow("pagerank", {cache ? "gas (delta cache)" : "gas (no cache)",
-                          r.value(), stats, true});
-  }
+  const std::vector<Variant> variants = {
+      {"classic update fn",
+       [&] {
+         auto g = apps::BuildPageRankGraph(web);
+         auto r = apps::SolvePageRank(&g, engine, eo, 0.85, 1e-6);
+         GL_CHECK_OK(r.status());
+         return r.value();
+       }},
+      {"gas vertex program",
+       [&] {
+         auto g = apps::BuildPageRankGraph(web);
+         auto r = apps::SolveGasPageRank(&g, engine, eo, 0.85, 1e-6);
+         GL_CHECK_OK(r.status());
+         return r.value();
+       }},
+  };
+  RunAndReport("pagerank", variants);
 }
 
 void E2LoopyBp(uint64_t side, size_t threads, const std::string& engine) {
   bench::PrintHeader("GAS overhead, loopy BP on a " +
                      std::to_string(side) + "x" + std::to_string(side) +
                      " grid, 5 states (engine=" + engine + ")");
-  auto structure = gen::Grid2D(side, side);
+  const auto structure = gen::Grid2D(side, side);
   EngineOptions eo;
   eo.num_threads = threads;
-  apps::PottsPotential psi{1.5};
-  PrintTableHeader();
-
-  {
-    auto g = apps::BuildMrf(structure, 5, 0.15, 1.2, 7);
-    auto r = apps::SolveBp(&g, engine, eo, psi, 1e-5);
-    GL_CHECK_OK(r.status());
-    PrintRow("loopy_bp", {"classic update fn", r.value(), {}, false});
-  }
-  for (bool cache : {false, true}) {
-    auto g = apps::BuildMrf(structure, 5, 0.15, 1.2, 7);
-    EngineOptions gas_eo = eo;
-    gas_eo.gather_cache = cache;
-    GasStats stats;
-    auto r = apps::SolveGasBp(&g, engine, gas_eo, psi, 1e-5, &stats);
-    GL_CHECK_OK(r.status());
-    PrintRow("loopy_bp", {cache ? "gas (delta cache)" : "gas (no cache)",
-                          r.value(), stats, true});
-  }
-}
-
-void E3HitRateVsPressure(uint64_t n, size_t threads,
-                         const std::string& engine) {
-  bench::PrintHeader(
-      "delta-cache hit rate vs re-execution pressure (GAS PageRank)");
-  auto web = gen::PowerLawWeb(n, 8, 0.85, 1);
-  std::printf("tolerance,updates,updates_per_vertex,hit_rate,deltas\n");
-  for (double tol : {1e-4, 1e-6, 1e-8, 1e-10}) {
-    auto g = apps::BuildPageRankGraph(web);
-    EngineOptions eo;
-    eo.num_threads = threads;
-    eo.gather_cache = true;
-    GasStats stats;
-    auto r = apps::SolveGasPageRank(&g, engine, eo, 0.85, tol, &stats);
-    GL_CHECK_OK(r.status());
-    std::printf("%.0e,%llu,%.1f,%.3f,%llu\n", tol,
-                static_cast<unsigned long long>(r.value().updates),
-                static_cast<double>(r.value().updates) / n,
-                stats.cache_hit_rate(),
-                static_cast<unsigned long long>(stats.cache.deltas_applied));
-    g_json->AddRow()
-        .Set("experiment", "hit_rate_vs_pressure")
-        .Set("tolerance", tol)
-        .Set("updates", r.value().updates)
-        .Set("updates_per_vertex",
-             static_cast<double>(r.value().updates) / n)
-        .Set("hit_rate", stats.cache_hit_rate())
-        .Set("deltas", stats.cache.deltas_applied);
-  }
+  const apps::PottsPotential psi{1.5};
+  const std::vector<Variant> variants = {
+      {"classic update fn",
+       [&] {
+         auto g = apps::BuildMrf(structure, 5, 0.15, 1.2, 7);
+         auto r = apps::SolveBp(&g, engine, eo, psi, 1e-5);
+         GL_CHECK_OK(r.status());
+         return r.value();
+       }},
+      {"gas vertex program",
+       [&] {
+         auto g = apps::BuildMrf(structure, 5, 0.15, 1.2, 7);
+         auto r = apps::SolveGasBp(&g, engine, eo, psi, 1e-5);
+         GL_CHECK_OK(r.status());
+         return r.value();
+       }},
+  };
+  RunAndReport("loopy_bp", variants);
 }
 
 }  // namespace
@@ -181,7 +167,6 @@ int main(int argc, char** argv) {
   graphlab::g_json = &json;
   graphlab::E1PageRank(n, threads, engine);
   graphlab::E2LoopyBp(60, threads, engine);
-  graphlab::E3HitRateVsPressure(n, threads, engine);
   json.WriteFile(opts.GetString("out", ""));
   return 0;
 }

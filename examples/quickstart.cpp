@@ -6,8 +6,8 @@
 //   1. generate a power-law web graph,
 //   2. color + partition it and cut it into a distributed graph,
 //   3. run the Alg. 1 PageRank update function on the chosen engine,
-//   4. run the same math as a GAS program (with the gather delta cache)
-//      and check both converge to the same ranks (exit 1 if not),
+//   4. run the same math as a GAS program and check both converge to
+//      the same ranks (exit 1 if not),
 //   5. gather and print the top pages.
 //
 // Usage: ./quickstart [--vertices=20000] [--machines=4] [--engine=chromatic]
@@ -142,36 +142,16 @@ int main(int argc, char** argv) {
   }
 
   // 4. GAS API: the same math as a vertex program, compiled per machine
-  // onto the same engine, with the gather delta cache enabled.
-  EngineOptions gas_eo = eo;
-  gas_eo.gather_cache = true;
-  std::vector<std::function<GasStats()>> stat_fns(machines);
-  run_cluster("gas vertex program", gas_parts, gas_eo,
-              [&](Graph* graph, IEngine<Graph>* engine,
-                  rpc::MachineContext& ctx) {
+  // onto the same engine.
+  run_cluster("gas vertex program", gas_parts, eo,
+              [&](Graph* graph, IEngine<Graph>* engine, rpc::MachineContext&) {
                 apps::PageRankProgram<Graph> program;
                 program.damping = kDamping;
                 program.tolerance = kTolerance;
-                auto compiled =
-                    CompileVertexProgram(graph, gas_eo, program);
-                engine->SetUpdateFn(compiled.update_fn());
-                stat_fns[ctx.id] = [compiled] { return compiled.stats(); };
+                engine->SetUpdateFn(
+                    CompileVertexProgram(graph, eo, program).update_fn());
               });
   if (failed.load()) return 1;
-
-  GasStats cluster_stats;
-  for (const auto& fn : stat_fns) {
-    if (!fn) continue;
-    GasStats s = fn();
-    cluster_stats.cache_hits += s.cache_hits;
-    cluster_stats.full_gathers += s.full_gathers;
-    cluster_stats.cache.deltas_applied += s.cache.deltas_applied;
-  }
-  std::printf(
-      "gas delta cache: %.1f%% of gathers served from cache "
-      "(%llu deltas folded in)\n",
-      100.0 * cluster_stats.cache_hit_rate(),
-      static_cast<unsigned long long>(cluster_stats.cache.deltas_applied));
 
   // Dynamic PageRank leaves each vertex within a relative error of about
   // 10 * tol * d / (1 - d) of the fixed point (residuals below the

@@ -50,21 +50,32 @@ class DistributedLockManager {
         graph_(graph),
         model_(model),
         locks_(graph->num_local_vertices()) {
-    ctx_.comm().RegisterHandler(
+    chain_registration_ = ctx_.comm().RegisterHandler(
         ctx_.id, kLockChainHandler,
         [this](rpc::MachineId, InArchive& ia) { OnChainHop(ia); });
-    ctx_.comm().RegisterHandler(
+    grant_registration_ = ctx_.comm().RegisterHandler(
         ctx_.id, kLockGrantHandler,
         [this](rpc::MachineId, InArchive& ia) {
           uint64_t id = ia.ReadValue<uint64_t>();
           CompleteRequest(id);
         });
-    ctx_.comm().RegisterHandler(
+    release_registration_ = ctx_.comm().RegisterHandler(
         ctx_.id, kLockReleaseHandler,
         [this](rpc::MachineId, InArchive& ia) {
           VertexId gvid = ia.ReadValue<VertexId>();
           ReleaseLocal(gvid);
         });
+  }
+
+  /// Late lock frames (say, of an aborted attempt) are then counted and
+  /// dropped by the comm layer instead of running on a freed manager.
+  ~DistributedLockManager() {
+    ctx_.comm().UnregisterHandler(ctx_.id, kLockChainHandler,
+                                  chain_registration_);
+    ctx_.comm().UnregisterHandler(ctx_.id, kLockGrantHandler,
+                                  grant_registration_);
+    ctx_.comm().UnregisterHandler(ctx_.id, kLockReleaseHandler,
+                                  release_registration_);
   }
 
   /// Begins acquisition of the scope of owned vertex l; `cb` fires (on an
@@ -276,6 +287,10 @@ class DistributedLockManager {
   std::atomic<uint64_t> next_request_id_{1};
   mutable std::mutex pending_mutex_;
   std::unordered_map<uint64_t, ScopeReadyCallback> pending_;
+
+  uint64_t chain_registration_ = 0;
+  uint64_t grant_registration_ = 0;
+  uint64_t release_registration_ = 0;
 };
 
 }  // namespace graphlab

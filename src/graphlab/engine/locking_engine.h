@@ -87,7 +87,6 @@ class LockingEngine final
         sync_(sync),
         allreduce_(allreduce),
         snapshot_(snapshot),
-        lock_manager_(ctx, graph, this->options_.consistency),
         scheduler_(
             this->MakeScheduler(graph->num_local_vertices(), "priority")),
         user_pending_(graph->num_local_vertices()),
@@ -95,7 +94,8 @@ class LockingEngine final
         in_flight_(graph->num_local_vertices()),
         signals_coalesced_(this->metrics_->counter("sched.signals_coalesced")),
         signal_frames_(this->metrics_->counter("sched.signal_frames")),
-        empty_scopes_(this->metrics_->counter("locking.empty_scopes")) {
+        empty_scopes_(this->metrics_->counter("locking.empty_scopes")),
+        lock_manager_(ctx, graph, this->options_.consistency) {
     if (this->options_.max_pipeline_length == 0) {
       this->options_.max_pipeline_length = 1;
     }
@@ -108,7 +108,7 @@ class LockingEngine final
         [this](size_t n, const std::function<void(size_t, size_t)>& fn) {
           this->substrate_.RunBatch(this->options_.num_threads, n, fn);
         });
-    ctx_.comm().RegisterHandler(
+    forward_registration_ = ctx_.comm().RegisterHandler(
         ctx_.id, kScheduleForwardHandler,
         [this](rpc::MachineId, InArchive& ia) {
           // Deliver every entry before counting the frame received, so
@@ -125,7 +125,7 @@ class LockingEngine final
               });
           tasks_received_.fetch_add(decoded, std::memory_order_acq_rel);
         });
-    ctx_.comm().RegisterHandler(
+    trigger_registration_ = ctx_.comm().RegisterHandler(
         ctx_.id, kSnapshotTriggerHandler,
         [this](rpc::MachineId, InArchive& ia) {
           const uint8_t mode = ia.ReadValue<uint8_t>();
@@ -145,6 +145,16 @@ class LockingEngine final
           }
           tasks_received_.fetch_add(1, std::memory_order_acq_rel);
         });
+  }
+
+  /// Late signal and trigger frames are then counted and dropped by the
+  /// comm layer; lock_manager_, destroyed first among the members, does
+  /// the same for lock frames.
+  ~LockingEngine() override {
+    ctx_.comm().UnregisterHandler(ctx_.id, kScheduleForwardHandler,
+                                  forward_registration_);
+    ctx_.comm().UnregisterHandler(ctx_.id, kSnapshotTriggerHandler,
+                                  trigger_registration_);
   }
 
   const char* name() const override { return "locking"; }
@@ -501,7 +511,6 @@ class LockingEngine final
   SumAllReduce* allreduce_;
   SnapshotManager<VertexData, EdgeData, Layout>* snapshot_;
 
-  DistributedLockManager<VertexData, EdgeData, Layout> lock_manager_;
   std::unique_ptr<IScheduler> scheduler_;
   DenseBitset user_pending_;
   DenseBitset snapshot_pending_;
@@ -521,6 +530,12 @@ class LockingEngine final
   bool trigger_sent_ = false;                // coordinator thread only
 
   std::vector<std::pair<double, uint64_t>> progress_;
+  uint64_t forward_registration_ = 0;
+  uint64_t trigger_registration_ = 0;
+
+  // Declared last, so destroyed first: its grant callbacks run this
+  // engine's code, so its handlers must be gone before any other member.
+  DistributedLockManager<VertexData, EdgeData, Layout> lock_manager_;
 };
 
 }  // namespace graphlab

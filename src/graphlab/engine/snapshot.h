@@ -570,11 +570,8 @@ class SnapshotManager {
         }
       }
     }
-    // A restore rewrites whole property columns: retire any cached
-    // gather state derived from the pre-restore columns, and the dirty
-    // baseline with it (next checkpoint must be full).
-    graph_->BumpVertexDataEpoch();
-    graph_->BumpEdgeDataEpoch();
+    // A restore rewrites whole property columns: retire the dirty
+    // baseline (next checkpoint must be full).
     has_baseline_ = false;
     for (LocalVid l : graph_->owned_vertices()) {
       graph_->FlushVertexScope(l);
@@ -631,8 +628,6 @@ class SnapshotManager {
         }
       }
     }
-    graph_->BumpVertexDataEpoch();
-    graph_->BumpEdgeDataEpoch();
     has_baseline_ = false;
     return Status::OK();
   }
@@ -694,8 +689,6 @@ class SnapshotManager {
         return Status::Corruption("corrupt delta journal: " + path);
       }
     }
-    graph_->BumpVertexDataEpoch();
-    graph_->BumpEdgeDataEpoch();
     has_baseline_ = false;
     return Status::OK();
   }

@@ -29,7 +29,6 @@
 #ifndef GRAPHLAB_GRAPH_STORAGE_H_
 #define GRAPHLAB_GRAPH_STORAGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -115,9 +114,6 @@ struct DistVertexSoA {
 
   std::span<const V> data_span() const { return data.span(); }
   std::span<const rpc::MachineId> owner_span() const { return owner.span(); }
-
-  uint64_t data_epoch() const { return data.dirty_epoch(); }
-  void BumpDataEpoch() { data.BumpDirtyEpoch(); }
 };
 
 /// Record vertex store: the pre-columnar VertexRecord rows.
@@ -159,12 +155,6 @@ struct DistVertexAoS {
   uint64_t FlushedOf(LocalVid l) const { return rows[l].flushed_version; }
   V& Data(LocalVid l) { return rows[l].data; }
   const V& DataOf(LocalVid l) const { return rows[l].data; }
-
-  uint64_t data_epoch() const { return epoch_.load(std::memory_order_relaxed); }
-  void BumpDataEpoch() { epoch_.fetch_add(1, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> epoch_{0};
 };
 
 // ======================================================================
@@ -216,9 +206,6 @@ struct DistEdgeSoA {
   std::span<const E> data_span() const { return data.span(); }
   std::span<const LocalVid> src_span() const { return src.span(); }
   std::span<const LocalVid> dst_span() const { return dst.span(); }
-
-  uint64_t data_epoch() const { return data.dirty_epoch(); }
-  void BumpDataEpoch() { data.BumpDirtyEpoch(); }
 };
 
 template <typename E>
@@ -253,12 +240,6 @@ struct DistEdgeAoS {
   uint64_t FlushedOf(LocalEid e) const { return rows[e].flushed_version; }
   E& Data(LocalEid e) { return rows[e].data; }
   const E& DataOf(LocalEid e) const { return rows[e].data; }
-
-  uint64_t data_epoch() const { return epoch_.load(std::memory_order_relaxed); }
-  void BumpDataEpoch() { epoch_.fetch_add(1, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> epoch_{0};
 };
 
 // ======================================================================
@@ -276,8 +257,6 @@ struct LocalVertexSoA {
   V& Data(VertexId v) { return data[v]; }
   const V& DataOf(VertexId v) const { return data[v]; }
   std::span<const V> data_span() const { return data.span(); }
-  uint64_t data_epoch() const { return data.dirty_epoch(); }
-  void BumpDataEpoch() { data.BumpDirtyEpoch(); }
 };
 
 template <typename V>
@@ -290,8 +269,6 @@ struct LocalVertexAoS {
   void push_back(V d) { rows.push_back(std::move(d)); }
   V& Data(VertexId v) { return rows[v]; }
   const V& DataOf(VertexId v) const { return rows[v]; }
-  uint64_t data_epoch() const { return 0; }
-  void BumpDataEpoch() {}
 };
 
 template <typename E>
@@ -314,8 +291,6 @@ struct LocalEdgeSoA {
   std::span<const E> data_span() const { return data.span(); }
   std::span<const VertexId> src_span() const { return src.span(); }
   std::span<const VertexId> dst_span() const { return dst.span(); }
-  uint64_t data_epoch() const { return data.dirty_epoch(); }
-  void BumpDataEpoch() { data.BumpDirtyEpoch(); }
 };
 
 template <typename E>
@@ -336,8 +311,6 @@ struct LocalEdgeAoS {
   VertexId DstOf(EdgeId e) const { return rows[e].dst; }
   E& Data(EdgeId e) { return rows[e].data; }
   const E& DataOf(EdgeId e) const { return rows[e].data; }
-  uint64_t data_epoch() const { return 0; }
-  void BumpDataEpoch() {}
 };
 
 }  // namespace storage

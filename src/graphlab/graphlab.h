@@ -57,7 +57,6 @@
 // engine, with optional gather delta caching.
 #include "graphlab/vertex_program/gas_compiler.h"
 #include "graphlab/vertex_program/gas_context.h"
-#include "graphlab/vertex_program/gather_cache.h"
 #include "graphlab/vertex_program/ivertex_program.h"
 
 #endif  // GRAPHLAB_GRAPHLAB_H_

@@ -229,17 +229,6 @@ TelemetrySample TimeSeriesSampler::SampleOnce() {
     prev_scalars_[name] = value;
   }
 
-  // Composite: windowed gather-cache hit ratio, when both feeds exist.
-  {
-    const double hit_rate = FindPair(sample.rates, "gas.cache_hits.rate", -1);
-    const double miss_rate =
-        FindPair(sample.rates, "gas.full_gathers.rate", -1);
-    if (hit_rate >= 0 && miss_rate >= 0 && hit_rate + miss_rate > 0) {
-      sample.rates.emplace_back("gas.cache_hit_ratio",
-                                hit_rate / (hit_rate + miss_rate));
-    }
-  }
-
   for (const auto& [name, data] : hists) {
     const auto prev = prev_hists_.find(name);
     const HistogramData window =
@@ -354,19 +343,20 @@ std::vector<TelemetrySample> ClusterTimeSeries::History(
 }
 
 std::string ClusterTimeSeries::FormatLiveTable(
-    const std::vector<std::string>& rate_keys) const {
+    const std::vector<std::string>& keys) const {
   const std::map<uint32_t, TelemetrySample> latest = Latest();
   std::vector<std::vector<std::string>> rows;
   std::vector<std::string> header = {"machine", "seq"};
-  for (const std::string& key : rate_keys) header.push_back(key);
+  for (const std::string& key : keys) header.push_back(key);
   rows.push_back(std::move(header));
   for (const auto& [machine, sample] : latest) {
     std::vector<std::string> row;
     row.push_back("m" + std::to_string(machine));
     row.push_back(std::to_string(sample.seq));
-    for (const std::string& key : rate_keys) {
+    for (const std::string& key : keys) {
       char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.4g", sample.Rate(key, 0));
+      std::snprintf(buf, sizeof(buf), "%.4g",
+                    sample.Rate(key, sample.Value(key, 0)));
       row.push_back(buf);
     }
     rows.push_back(std::move(row));

@@ -98,8 +98,7 @@ HistogramData HistogramWindowDelta(const HistogramData& prev,
 /// One machine's sample window — the unit the telemetry channel ships
 /// to machine 0 every tick.  `values` are cumulative registry readings
 /// at t_ns; `rates` are the windowed derivations against the previous
-/// tick ("<name>.rate" in units/s, "<name>.p99" for histograms, plus
-/// composites like gas.cache_hit_ratio).
+/// tick ("<name>.rate" in units/s, "<name>.p99" for histograms).
 struct TelemetrySample {
   uint32_t machine = 0;
   uint64_t seq = 0;          // per-machine tick number, from 1
@@ -123,9 +122,8 @@ struct TimeSeriesOptions {
   size_t ring_capacity = 600;
   /// Counter/gauge names to sample (cumulative; ".rate" derived).
   std::vector<std::string> scalars = {
-      "engine.updates",  "rpc.bytes_sent",      "rpc.messages_sent",
-      "gas.cache_hits",  "gas.full_gathers",    "sched.depth",
-      "sched.steals",    "trace.dropped_events"};
+      "engine.updates", "rpc.bytes_sent", "rpc.messages_sent",
+      "sched.depth",    "sched.steals",   "trace.dropped_events"};
   /// Histogram names to sample (".p99" derived over the window).
   std::vector<std::string> histograms = {"lock.stall_ns"};
 };
@@ -217,9 +215,10 @@ class ClusterTimeSeries {
   std::vector<TelemetrySample> History(uint32_t machine) const;
 
   /// One compact live-table render: a row per machine with the given
-  /// rate keys as columns (the --telemetry-report output).
-  std::string FormatLiveTable(
-      const std::vector<std::string>& rate_keys) const;
+  /// keys as columns (the --telemetry-report output).  A key names a
+  /// windowed rate ("engine.updates.rate") or, failing that, a sampled
+  /// value such as a gauge ("sched.depth").
+  std::string FormatLiveTable(const std::vector<std::string>& keys) const;
 
  private:
   struct MachineSeries {

@@ -3,7 +3,7 @@
 // exact power-iteration solution; plus scheduler unit tests, the
 // CreateEngine/CreateScheduler factories' error paths, consistency model
 // enforcement, the sync operation, and the distributed engines' signal
-// windows over both transports.
+// windows and handler lifetimes over both transports.
 
 #include <gtest/gtest.h>
 
@@ -673,6 +673,77 @@ TEST_P(SignalWindowTest, CorruptForwardFrameIsDroppedNotFatal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, SignalWindowTest,
+                         ::testing::ValuesIn(testutil::kAllTransports),
+                         testutil::KindParamName);
+
+// ---------------------------------------------------------------------
+// Handler lifetimes, over both transports: frames that reach a machine
+// after its locking engine is gone are counted and dropped, never run on
+// the freed engine or lock manager.
+// ---------------------------------------------------------------------
+
+class HandlerLifetimeTest
+    : public ::testing::TestWithParam<rpc::TransportKind> {};
+
+TEST_P(HandlerLifetimeTest, LockingFramesAfterDestructionAreDropped) {
+  constexpr rpc::HandlerId kMarker = 240;  // registered by this test only
+  GraphStructure path;
+  path.num_vertices = 4;
+  path.edges = {{0, 1}, {1, 2}, {2, 3}};
+  const PartitionAssignment owner = {0, 1, 0, 1};
+  auto global = BuildPageRankGraph(path);
+  auto colors = GreedyColoring(path);
+  const std::vector<rpc::MachineId> placement = {0, 1};
+  rpc::Runtime runtime(testutil::ClusterFor(GetParam(), 2));
+  testutil::ClusterAllreduce allreduce(&runtime, 1);
+  std::vector<DPRGraph> graphs(2);
+  std::atomic<bool> marker{false};
+  runtime.Run([&](rpc::MachineContext& ctx) {
+    DPRGraph& graph = graphs[ctx.id];
+    ASSERT_TRUE(graph
+                    .InitFromGlobal(global, owner, colors, placement, ctx.id,
+                                    &ctx.comm())
+                    .ok());
+    ctx.comm().RegisterHandler(ctx.id, kMarker, [&](rpc::MachineId,
+                                                    InArchive&) {
+      marker.store(true);
+    });
+    ctx.barrier().Wait(ctx.id);
+    {
+      DistributedEngineDeps<PageRankVertex, PageRankEdge> deps;
+      deps.allreduce = &allreduce.at(ctx.id);
+      auto engine = CreateEngine("locking", ctx, &graph, EngineOptions{},
+                                 deps);
+      ASSERT_TRUE(engine.ok());
+      ctx.barrier().Wait(ctx.id);  // every engine exists
+    }
+    ctx.barrier().Wait(ctx.id);  // every engine is gone
+    if (ctx.id == 0) {
+      // A lock-chain hop for vertex 1 (owned by machine 1) and a signal
+      // to it, then a marker on the same FIFO channel.
+      OutArchive hop;
+      hop << uint64_t{1} << VertexId{1} << std::vector<rpc::MachineId>{1}
+          << uint64_t{0} << rpc::MachineId{0};
+      ctx.comm().Send(0, 1, kLockChainHandler, std::move(hop));
+      OutArchive signal;
+      signal << VertexId{1} << 1.0 << uint8_t{0};
+      ctx.comm().Send(0, 1, kScheduleForwardHandler, std::move(signal));
+      ctx.comm().Send(0, 1, kMarker, OutArchive());
+    } else {
+      Timer timer;
+      while (!marker.load() && timer.Seconds() < 10) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_TRUE(marker.load());
+      EXPECT_EQ(
+          ctx.metrics().counter("rpc.frames_dropped_no_handler")->Value(),
+          2u);
+    }
+    ctx.barrier().Wait(ctx.id);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, HandlerLifetimeTest,
                          ::testing::ValuesIn(testutil::kAllTransports),
                          testutil::KindParamName);
 

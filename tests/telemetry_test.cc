@@ -332,6 +332,13 @@ TEST(TelemetryChannelTest, OutOfBandTrafficDoesNotBlockQuiescence) {
   });
   // Quiescence must complete while the stream keeps flowing.
   for (int i = 0; i < 5; ++i) comm.WaitQuiescent();
+  // Quiescence does not wait for out-of-band traffic, and under load the
+  // streamer may not have published yet: keep it streaming until the
+  // master has a sample.
+  Timer timer;
+  while (received.load() == 0 && timer.Seconds() < 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   stop.store(true, std::memory_order_release);
   streamer.join();
   comm.WaitQuiescent();
